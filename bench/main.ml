@@ -183,30 +183,30 @@ let run_drmt_bench () =
 
 (* --- JSON perf trajectory ------------------------------------------------------------ *)
 
-(* Machine-readable benchmark report (BENCH_pr10.json, schema
-   druzhba-bench/3): per Table-1 program and optimization level, the
-   steady-state tick cost on the compiled substrate's *batched* path
-   (ns/PHV, PHVs/sec, best of three timed runs), the sequential tick cost
-   for comparison, and the steady-state allocation rate (Gc.allocated_bytes
-   per PHV — the batched engine must keep this at ~0 too).  Each level
-   carries two agreement bits CI gates on: Engine trace = Compiled trace
-   (sequential, as in schema /1), and batched trace = sequential trace on
-   both substrates.  Schema /3 adds, per level, the Dynlinked
-   native-codegen substrate: "native_ns_per_phv" (batched),
-   "native_seq_ns_per_phv", "native_phvs_per_sec" and a third agreement
-   bit "native_agree" (native trace + final state = closure trace on the
-   check workload, sequential and batched).  On a machine without the
-   ocamlfind/ocamlopt toolchain those fields are omitted and a top-level
-   "native_unavailable" string carries the probe's reason — the report is
-   still valid and all other gates still apply.  Additional sections:
-   "batch_sweep" (scc+inline cost across batch sizes 1/16/64/256),
-   "probe_overhead" (the coverage-probe flag must cost nothing when
-   disabled), and "drmt" as before.  Reports are read back by
-   {!Druzhba_experiments.Bench_report}, which accepts schema /1, /2 and
-   /3 — the speedup-vs-PR8 table below uses it. *)
+(* Machine-readable benchmark report (BENCH_pr12.json, schema
+   druzhba-bench/4): per Table-1 program and optimization level, the
+   steady-state tick cost of the closure substrate's sequential tick loop
+   (ns/PHV, PHVs/sec, best of three timed runs) and its allocation rate
+   (Gc.allocated_bytes per PHV — the engine must keep this at ~0).  Each
+   level carries the agreement bits CI gates on: Engine trace = Compiled
+   trace (as in schema /1), batched = sequential for the interpreter's and
+   the native substrate's lane drivers ("batch_agree"), and, where the
+   toolchain is present, the Dynlinked native-codegen substrate's
+   "native_ns_per_phv" (lane driver), "native_seq_ns_per_phv",
+   "native_phvs_per_sec" and "native_agree" (native trace + final state =
+   closure trace on the check workload).  On a machine without the
+   ocamlfind/ocamlopt toolchain the native fields are omitted and a
+   top-level "native_unavailable" string carries the probe's reason — the
+   report is still valid and all other gates still apply.  Additional
+   sections: "probe_overhead" (the coverage-probe flag must cost nothing
+   when disabled) and "drmt".  Unlike /3, the closure "ns_per_phv" is the
+   sequential loop, so there is no closure "seq_ns_per_phv", and there is
+   no "batch_sweep".  Reports are read back by
+   {!Druzhba_experiments.Bench_report}, which accepts schemas /1 to /4 —
+   the speedup tables below use it. *)
 
 type native_sample = {
-  nv_ns_per_phv : float; (* batched path, same batch size as the closures *)
+  nv_ns_per_phv : float; (* lane driver at the report's batch size *)
   nv_seq_ns_per_phv : float;
   nv_phvs_per_sec : float;
   nv_agree : bool; (* native trace + state = closure trace on the check workload *)
@@ -214,12 +214,11 @@ type native_sample = {
 
 type level_sample = {
   ls_level : string;
-  ls_ns_per_phv : float; (* batched path at the report's batch size *)
-  ls_seq_ns_per_phv : float; (* sequential tick loop, same workload *)
+  ls_ns_per_phv : float; (* closure substrate, sequential tick loop *)
   ls_phvs_per_sec : float;
   ls_bytes_per_phv : float;
   ls_agree : bool; (* Engine trace = Compiled trace on the check workload *)
-  ls_batch_agree : bool; (* batched = sequential on both substrates *)
+  ls_batch_agree : bool; (* lane driver = sequential, interpreter and native *)
   ls_native : native_sample option; (* None when the toolchain is unavailable *)
 }
 
@@ -256,23 +255,23 @@ let buffers_equal (a : Trace.Buffer.t) (b : Trace.Buffer.t) =
 
 (* Batched-vs-sequential equality through the packed substrate interface:
    trace rows and final state must be byte-identical. *)
-let batch_agrees ~batch (packed : Substrate.packed) ~inputs =
+let batch_agrees (packed : Substrate.packed) ~inputs =
   let width = Substrate.width packed in
   let capacity = List.length inputs in
   let seq_buf = Trace.Buffer.create ~width ~capacity in
   Substrate.run_into packed ~inputs seq_buf;
   let seq_state = Substrate.current_state packed in
   let bat_buf = Trace.Buffer.create ~width ~capacity in
-  Substrate.run_batch_into ~batch packed ~inputs bat_buf;
+  Substrate.run_batch_into packed ~inputs bat_buf;
   let bat_state = Substrate.current_state packed in
   buffers_equal seq_buf bat_buf && seq_state = bat_state
 
-(* [native] gates the schema /3 rows: when false (toolchain probe failed)
+(* [native] gates the native rows: when false (toolchain probe failed)
    the closure and interpreter measurements still run, native fields are
    simply absent.  Substrate construction — which for native includes the
    out-of-process ocamlopt run, the analogue of the rustc time the paper
    excludes — sits outside every timer. *)
-let measure_program ~phvs ~batch ~native (bm : Spec.benchmark) : program_sample =
+let measure_program ~phvs ~native (bm : Spec.benchmark) : program_sample =
   let compiled = Spec.compile_exn bm in
   let mc = compiled.Compiler.Codegen.c_mc in
   let desc = compiled.Compiler.Codegen.c_desc in
@@ -289,59 +288,54 @@ let measure_program ~phvs ~batch ~native (bm : Spec.benchmark) : program_sample 
       (fun (level, d) ->
         let c = Compile.compile d ~mc in
         let t = Compiled.create c in
-        (* warm-up run (pages in code paths and the lazy vectorization),
-           then best-of-N timed runs and one allocation-counted run *)
-        Compiled.run_batch_into ~init ~batch t ~inputs buf;
-        let dt = best_of_time (fun () -> Compiled.run_batch_into ~init ~batch t ~inputs buf) in
-        let a0 = Gc.allocated_bytes () in
-        Compiled.run_batch_into ~init ~batch t ~inputs buf;
-        let a1 = Gc.allocated_bytes () in
+        (* warm-up run (pages in code paths), then best-of-N timed runs and
+           one allocation-counted run *)
         Compiled.run_into ~init t ~inputs buf;
-        let dt_seq = best_of_time (fun () -> Compiled.run_into ~init t ~inputs buf) in
+        let dt = best_of_time (fun () -> Compiled.run_into ~init t ~inputs buf) in
+        let a0 = Gc.allocated_bytes () in
+        Compiled.run_into ~init t ~inputs buf;
+        let a1 = Gc.allocated_bytes () in
         let n = float_of_int phvs in
         let engine_trace = Engine.run ~init d ~mc ~inputs:check_inputs in
         let compiled_trace = Compiled.run_compiled ~init c ~inputs:check_inputs in
+        let native_packed =
+          if not native then None
+          else Result.to_option (Native_substrate.create ~init d ~mc)
+        in
         let ls_batch_agree =
-          batch_agrees ~batch (Substrate.of_compiled ~init c) ~inputs:check_inputs
-          && batch_agrees ~batch (Substrate.of_engine ~init d ~mc) ~inputs:check_inputs
+          batch_agrees (Substrate.of_engine ~init d ~mc) ~inputs:check_inputs
+          && Option.fold ~none:true native_packed ~some:(batch_agrees ~inputs:check_inputs)
         in
         let ls_native =
-          if not native then None
-          else
-            match Native_substrate.create ~init d ~mc with
-            | Error _ -> None
-            | Ok packed ->
-              Substrate.run_batch_into ~batch packed ~inputs buf;
-              let ndt =
-                best_of_time (fun () -> Substrate.run_batch_into ~batch packed ~inputs buf)
-              in
-              Substrate.run_into packed ~inputs buf;
-              let ndt_seq = best_of_time (fun () -> Substrate.run_into packed ~inputs buf) in
-              let nbuf =
-                Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:json_check_phvs
-              in
-              Substrate.run_into packed ~inputs:check_inputs nbuf;
-              let native_trace =
-                {
-                  Trace.inputs = check_inputs;
-                  outputs = Trace.Buffer.contents nbuf;
-                  final_state = Substrate.current_state packed;
-                }
-              in
-              Some
-                {
-                  nv_ns_per_phv = ndt *. 1e9 /. n;
-                  nv_seq_ns_per_phv = ndt_seq *. 1e9 /. n;
-                  nv_phvs_per_sec = (if ndt > 0. then n /. ndt else infinity);
-                  nv_agree =
-                    Trace.equal native_trace compiled_trace
-                    && batch_agrees ~batch packed ~inputs:check_inputs;
-                }
+          match native_packed with
+          | None -> None
+          | Some packed ->
+            Substrate.run_batch_into packed ~inputs buf;
+            let ndt = best_of_time (fun () -> Substrate.run_batch_into packed ~inputs buf) in
+            Substrate.run_into packed ~inputs buf;
+            let ndt_seq = best_of_time (fun () -> Substrate.run_into packed ~inputs buf) in
+            let nbuf =
+              Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:json_check_phvs
+            in
+            Substrate.run_into packed ~inputs:check_inputs nbuf;
+            let native_trace =
+              {
+                Trace.inputs = check_inputs;
+                outputs = Trace.Buffer.contents nbuf;
+                final_state = Substrate.current_state packed;
+              }
+            in
+            Some
+              {
+                nv_ns_per_phv = ndt *. 1e9 /. n;
+                nv_seq_ns_per_phv = ndt_seq *. 1e9 /. n;
+                nv_phvs_per_sec = (if ndt > 0. then n /. ndt else infinity);
+                nv_agree = Trace.equal native_trace compiled_trace;
+              }
         in
         {
           ls_level = level;
           ls_ns_per_phv = dt *. 1e9 /. n;
-          ls_seq_ns_per_phv = dt_seq *. 1e9 /. n;
           ls_phvs_per_sec = (if dt > 0. then n /. dt else infinity);
           ls_bytes_per_phv = (a1 -. a0) /. n;
           ls_agree = Trace.equal engine_trace compiled_trace;
@@ -357,37 +351,6 @@ let measure_program ~phvs ~batch ~native (bm : Spec.benchmark) : program_sample 
     ps_alu = bm.Spec.bm_stateful;
     ps_levels = levels;
   }
-
-(* --- Batch-size sweep ---------------------------------------------------------------- *)
-
-(* scc+inline cost across batch sizes: B = 1 degenerates to one lane per
-   chunk (per-stage dispatch amortized over nothing), larger B amortizes
-   dispatch and keeps the lanes cache-resident until the register file
-   outgrows L1/L2. *)
-
-let sweep_batches = [ 1; 16; 64; 256 ]
-
-type sweep_row = { sw_program : string; sw_points : (int * float) list (* batch, ns/PHV *) }
-
-let measure_sweep ~phvs (bm : Spec.benchmark) : sweep_row =
-  let compiled = Spec.compile_exn bm in
-  let mc = compiled.Compiler.Codegen.c_mc in
-  let desc = compiled.Compiler.Codegen.c_desc in
-  let init = compiled.Compiler.Codegen.c_layout.Compiler.Codegen.l_init in
-  let inputs = Traffic.phvs (Traffic.create ~seed:0xD52ba ~width:bm.Spec.bm_width ~bits:32) phvs in
-  let v3 = Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc in
-  let c = Compile.compile v3 ~mc in
-  let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:phvs in
-  let points =
-    List.map
-      (fun b ->
-        let t = Compiled.create c in
-        Compiled.run_batch_into ~init ~batch:b t ~inputs buf;
-        let dt = best_of_time (fun () -> Compiled.run_batch_into ~init ~batch:b t ~inputs buf) in
-        (b, dt *. 1e9 /. float_of_int phvs))
-      sweep_batches
-  in
-  { sw_program = bm.Spec.bm_name; sw_points = points }
 
 (* --- Coverage-probe overhead --------------------------------------------------------- *)
 
@@ -503,17 +466,24 @@ let measure_drmt ~phvs : drmt_sample =
     ds_agree = Trace.equal trace_seq trace_ev;
   }
 
-let render_json ~quick ~phvs ~batch ~(native_unavailable : string option)
-    ~(drmt : drmt_sample) ~(sweep : sweep_row list) ~(po : probe_overhead)
-    (samples : program_sample list) =
+(* What changed in the closure rows at schema /4, recorded in the report
+   itself so the trajectory does not read as a regression. *)
+let closure_note =
+  "closure ns_per_phv is the sequential tick loop since the closure vectorizer was removed; \
+   expect about 6x BENCH_pr10's batched scc+inline ns_per_phv (BENCH_pr10's own \
+   seq_ns_per_phv / ns_per_phv has a median of 6.3 at scc+inline and 0.8 at unopt)"
+
+let render_json ~quick ~phvs ~(native_unavailable : string option)
+    ~(drmt : drmt_sample) ~(po : probe_overhead) (samples : program_sample list) =
   let b = Buffer.create 4096 in
   let bpf fmt = Printf.bprintf b fmt in
   bpf "{\n";
-  bpf "  \"schema\": \"druzhba-bench/3\",\n";
-  bpf "  \"pr\": 10,\n";
+  bpf "  \"schema\": \"druzhba-bench/4\",\n";
+  bpf "  \"pr\": 12,\n";
   bpf "  \"quick\": %b,\n" quick;
   bpf "  \"phvs\": %d,\n" phvs;
-  bpf "  \"batch\": %d,\n" batch;
+  bpf "  \"batch\": %d,\n" Substrate.default_batch;
+  bpf "  \"closure_note\": \"%s\",\n" closure_note;
   (match native_unavailable with
   | Some reason -> bpf "  \"native_unavailable\": \"%s\",\n" (String.escaped reason)
   | None -> ());
@@ -538,28 +508,15 @@ let render_json ~quick ~phvs ~batch ~(native_unavailable : string option)
                 nv.nv_ns_per_phv nv.nv_seq_ns_per_phv nv.nv_phvs_per_sec nv.nv_agree
           in
           bpf
-            "        {\"level\": \"%s\", \"ns_per_phv\": %.1f, \"seq_ns_per_phv\": %.1f, \
-             \"phvs_per_sec\": %.0f, \"bytes_per_phv\": %.2f, \"engine_compiled_agree\": %b, \
-             \"batch_agree\": %b%s}%s\n"
-            ls.ls_level ls.ls_ns_per_phv ls.ls_seq_ns_per_phv ls.ls_phvs_per_sec
+            "        {\"level\": \"%s\", \"ns_per_phv\": %.1f, \"phvs_per_sec\": %.0f, \
+             \"bytes_per_phv\": %.2f, \"engine_compiled_agree\": %b, \"batch_agree\": %b%s}%s\n"
+            ls.ls_level ls.ls_ns_per_phv ls.ls_phvs_per_sec
             ls.ls_bytes_per_phv ls.ls_agree ls.ls_batch_agree native_fields
             (if j = 2 then "" else ","))
         ps.ps_levels;
       bpf "      ]\n";
       bpf "    }%s\n" (if i = List.length samples - 1 then "" else ","))
     samples;
-  bpf "  ],\n";
-  bpf "  \"batch_sweep\": [\n";
-  List.iteri
-    (fun i sw ->
-      bpf "    {\"program\": \"%s\", \"level\": \"scc+inline\", \"points\": [" sw.sw_program;
-      List.iteri
-        (fun j (bsz, ns) ->
-          bpf "{\"batch\": %d, \"ns_per_phv\": %.1f}%s" bsz ns
-            (if j = List.length sw.sw_points - 1 then "" else ", "))
-        sw.sw_points;
-      bpf "]}%s\n" (if i = List.length sweep - 1 then "" else ","))
-    sweep;
   bpf "  ],\n";
   bpf "  \"probe_overhead\": {\n";
   bpf "    \"program\": \"%s\", \"phvs\": %d,\n" po.po_program po.po_phvs;
@@ -652,28 +609,27 @@ let print_native_speedups ~path ~baseline_path =
       let over = List.length (List.filter (fun (_, s) -> s >= 5.0) rows) in
       Printf.printf "  %d/%d rows at >= 5x\n" over (List.length rows))
 
-let run_json_report ~quick ~batch ~path =
+let run_json_report ~quick ~path =
   let phvs = if quick then 5_000 else 50_000 in
   let native_unavailable =
     match Native_substrate.available () with Ok () -> None | Error reason -> Some reason
   in
   Printf.printf
-    "perf trajectory: %d PHVs/run, compiled substrate, batched tick path (batch %d, best of %d)\n"
-    phvs batch timed_reps;
+    "perf trajectory: %d PHVs/run, compiled substrate, sequential tick loop (best of %d)\n" phvs
+    timed_reps;
   (match native_unavailable with
   | Some reason -> Printf.printf "native substrate unavailable (%s); native columns omitted\n" reason
   | None -> ());
-  Printf.printf "%-18s %-12s %12s %12s %14s %12s %6s %6s %12s %6s\n" "program" "level" "ns/PHV"
-    "seq ns" "PHVs/sec" "bytes/PHV" "agree" "batch" "native ns" "native";
+  Printf.printf "%-18s %-12s %12s %14s %12s %6s %6s %12s %6s\n" "program" "level" "ns/PHV"
+    "PHVs/sec" "bytes/PHV" "agree" "batch" "native ns" "native";
   let samples =
     List.map
       (fun bm ->
-        let ps = measure_program ~phvs ~batch ~native:(native_unavailable = None) bm in
+        let ps = measure_program ~phvs ~native:(native_unavailable = None) bm in
         List.iter
           (fun ls ->
-            Printf.printf "%-18s %-12s %12.1f %12.1f %14.0f %12.2f %6s %6s %12s %6s\n"
-              ps.ps_program ls.ls_level ls.ls_ns_per_phv ls.ls_seq_ns_per_phv ls.ls_phvs_per_sec
-              ls.ls_bytes_per_phv
+            Printf.printf "%-18s %-12s %12.1f %14.0f %12.2f %6s %6s %12s %6s\n" ps.ps_program
+              ls.ls_level ls.ls_ns_per_phv ls.ls_phvs_per_sec ls.ls_bytes_per_phv
               (if ls.ls_agree then "yes" else "NO")
               (if ls.ls_batch_agree then "yes" else "NO")
               (match ls.ls_native with
@@ -686,16 +642,6 @@ let run_json_report ~quick ~batch ~path =
         ps)
       Spec.all
   in
-  let sweep = List.map (measure_sweep ~phvs) Spec.all in
-  Printf.printf "\nbatch sweep (scc+inline, ns/PHV):\n%-18s" "program";
-  List.iter (fun b -> Printf.printf " %9s" (Printf.sprintf "B=%d" b)) sweep_batches;
-  print_newline ();
-  List.iter
-    (fun sw ->
-      Printf.printf "%-18s" sw.sw_program;
-      List.iter (fun (_, ns) -> Printf.printf " %9.1f" ns) sw.sw_points;
-      print_newline ())
-    sweep;
   let po = measure_probe_overhead ~phvs:(if quick then 2_000 else 10_000) in
   Printf.printf
     "\nprobe overhead (%s, unopt interpreter): baseline %.1f ns/PHV, on %.1f, off %.1f \
@@ -709,7 +655,7 @@ let run_json_report ~quick ~batch ~path =
         (if drmt.ds_agree then "yes" else "NO"))
     drmt.ds_modes;
   let json, all_agree =
-    render_json ~quick ~phvs ~batch ~native_unavailable ~drmt ~sweep ~po samples
+    render_json ~quick ~phvs ~native_unavailable ~drmt ~po samples
   in
   let oc = open_out path in
   output_string oc json;
@@ -728,26 +674,13 @@ let run_json_report ~quick ~batch ~path =
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-(* --batch N selects the lane count for the batched measurements (default
-   {!Substrate.default_batch}). *)
-let batch_arg () =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = "--batch" then int_of_string_opt Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  match find 1 with
-  | Some b when b >= 1 -> b
-  | Some _ -> failwith "--batch must be >= 1"
-  | None -> Substrate.default_batch
-
 let () =
   let quick = Array.exists (( = ) "--quick") Sys.argv in
   if Array.exists (( = ) "--json") Sys.argv then begin
     (* JSON trajectory mode: only the machine-readable report (plus the
        agreement gates); exits non-zero on divergence *)
-    section "Perf trajectory (BENCH_pr10.json)";
-    if not (run_json_report ~quick ~batch:(batch_arg ()) ~path:"BENCH_pr10.json") then exit 1
+    section "Perf trajectory (BENCH_pr12.json)";
+    if not (run_json_report ~quick ~path:"BENCH_pr12.json") then exit 1
   end
   else begin
   let phvs = if quick then 5_000 else 50_000 in

@@ -109,7 +109,7 @@ type config = {
   c_master_seed : int;
   c_substrate : string; (* substrate-registry name: which families trials exercise *)
   c_phvs : int; (* PHVs simulated per trial *)
-  c_batch : int; (* lane count for the substrates' batched execution paths *)
+  c_batch : int; (* lane count of the batched substrate runs; always {!Substrate.default_batch} *)
   c_shrink : bool; (* minimize failing trials *)
   c_max_probes : int; (* shrink budget, in oracle re-runs *)
   c_fuel : int option; (* per-trial tick budget (watchdog); None = unlimited *)
@@ -131,16 +131,15 @@ type config = {
 }
 
 let config ?(trials = 100) ?(jobs = 1) ?(master_seed = 0xD52ba) ?(substrate = "rmt")
-    ?(phvs = 100) ?(batch = Substrate.default_batch) ?(shrink = true) ?(max_probes = 400)
-    ?fuel ?max_failures ?faults ?(checkpoint_every = 64) ?(coverage = false) ?corpus_dir
-    ?(sabotage_pass = false) ?hook ?sabotage () =
+    ?(phvs = 100) ?(shrink = true) ?(max_probes = 400) ?fuel ?max_failures ?faults
+    ?(checkpoint_every = 64) ?(coverage = false) ?corpus_dir ?(sabotage_pass = false) ?hook
+    ?sabotage () =
   (match fuel with
   | Some f when f <= 0 -> invalid_arg "Campaign.config: fuel must be positive"
   | _ -> ());
   (match max_failures with
   | Some m when m <= 0 -> invalid_arg "Campaign.config: max_failures must be positive"
   | _ -> ());
-  if batch < 1 then invalid_arg "Campaign.config: batch must be positive";
   if families_of_name substrate = None then
     invalid_arg
       (Printf.sprintf "Campaign.config: unknown substrate %S (expected one of %s)" substrate
@@ -149,10 +148,10 @@ let config ?(trials = 100) ?(jobs = 1) ?(master_seed = 0xD52ba) ?(substrate = "r
   if corpus_dir <> None && not coverage then
     invalid_arg "Campaign.config: corpus_dir requires coverage mode";
   { c_trials = trials; c_jobs = jobs; c_master_seed = master_seed; c_substrate = substrate;
-    c_phvs = phvs; c_batch = batch; c_shrink = shrink; c_max_probes = max_probes; c_fuel = fuel;
-    c_max_failures = max_failures; c_faults = faults; c_checkpoint_every = checkpoint_every;
-    c_coverage = coverage; c_corpus_dir = corpus_dir; c_sabotage_pass = sabotage_pass;
-    c_hook = hook; c_sabotage = sabotage }
+    c_phvs = phvs; c_batch = Substrate.default_batch; c_shrink = shrink;
+    c_max_probes = max_probes; c_fuel = fuel; c_max_failures = max_failures; c_faults = faults;
+    c_checkpoint_every = checkpoint_every; c_coverage = coverage; c_corpus_dir = corpus_dir;
+    c_sabotage_pass = sabotage_pass; c_hook = hook; c_sabotage = sabotage }
 
 (* Trials rotate through the selection's families by index — deterministic
    in the index alone, so resume and any job count see the same split

@@ -193,9 +193,11 @@ let drmt_substrates ?cfg ~entries (p : Druzhba_drmt.P4.t) : Substrate.packed lis
    the caller — the campaign runner turns it into a timeout outcome.
 
    Runs go through the substrates' batched entry points ([batch] lanes,
-   default {!Substrate.default_batch}); the batched paths are bit-identical
-   to the sequential tick loops (enforced by the cross-path property test),
-   so outcomes are unchanged — only faster. *)
+   default {!Substrate.default_batch}).  The interpreter and native
+   substrates sweep lanes through {!Druzhba_dsim.Batch}; the closures and
+   dRMT run their sequential loops.  Either way the result is bit-identical
+   to the sequential tick loop (enforced by the cross-path property
+   tests), so outcomes do not depend on [batch]. *)
 let diff_substrates ?budget ?batch ~(substrates : Substrate.packed list) ~inputs () : outcome =
   match substrates with
   | [] | [ _ ] ->

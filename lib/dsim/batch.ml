@@ -1,14 +1,14 @@
 (* Batched simulation driver: structure-of-arrays runs over lane chunks.
 
-   Both RMT substrates expose a stage executor over {!Vcompile.lane} rows
-   (the interpreter walks lanes through {!Druzhba_pipeline.Interp}, the
-   compiled backend sweeps {!Druzhba_pipeline.Vcompile} kernels); this
-   module owns everything around that executor so the two paths cannot
-   drift: chunking the input stream into batches of at most [cap] PHVs,
-   gathering PHVs into row-0 lanes (with bit-flip overlays applied per
-   injection slot), deriving the per-stage live lane count from the tick
-   budget, scattering row-depth lanes into the trace buffer, and the final
-   bulk budget settlement.
+   The interpreter ({!Engine.run_batch_into}, which walks lanes through
+   {!Druzhba_pipeline.Interp}) and the native substrate (whose Dynlinked
+   module sweeps lanes in emitted code) expose a stage executor over
+   {!lane} rows; this module owns everything around that executor so the
+   two paths cannot drift: chunking the input stream into batches of at
+   most [cap] PHVs, gathering PHVs into row-0 lanes (with bit-flip overlays
+   applied per injection slot), deriving the per-stage live lane count
+   from the tick budget, scattering row-depth lanes into the trace buffer,
+   and the final bulk budget settlement.
 
    Equivalence with the sequential tick loop (the cross-path property test
    enforces this bit-for-bit):
@@ -29,17 +29,24 @@
      against the original slot index, both exactly as
      {!Faults.run_engine}/{!Faults.run_compiled} do sequentially. *)
 
-module Vcompile = Druzhba_pipeline.Vcompile
+(* One (stage, container) slot across a batch of [cap] PHVs.  Bigarray
+   accesses compile to raw loads/stores only inside top-level functions
+   whose parameters have this concrete type (flambda off); see the column
+   sweeps below. *)
+type lane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type lane = Vcompile.lane
+let create_lane cap : lane =
+  let l = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap in
+  Bigarray.Array1.fill l 0;
+  l
 
-let lane_get = Vcompile.lane_get
-let lane_set = Vcompile.lane_set
+let lane_get (l : lane) i = Bigarray.Array1.unsafe_get l i
+let lane_set (l : lane) i (v : int) = Bigarray.Array1.unsafe_set l i v
 
 type rows = lane array array (* (depth+1) x width *)
 
 let create_rows ~depth ~width ~cap : rows =
-  Array.init (depth + 1) (fun _ -> Array.init (max 1 width) (fun _ -> Vcompile.create_lane cap))
+  Array.init (depth + 1) (fun _ -> Array.init (max 1 width) (fun _ -> create_lane cap))
 
 (* Fault-overlay primitives, decomposed from a {!Faults.t} plan by the
    substrate wrappers (this module must not depend on {!Faults}, which

@@ -182,9 +182,37 @@ let run_engine ?init ?budget plan (e : Engine.t) ~inputs (buf : Trace.Buffer.t) 
     apply_stuck_engine plan e
   done
 
+let run_compiled ?(init = []) ?budget plan (c : Compiled.t) ~inputs (buf : Trace.Buffer.t) =
+  Compiled.reset c.Compiled.compiled;
+  Compiled.load_state c.Compiled.compiled init;
+  c.Compiled.occ <- 0;
+  c.Compiled.tick <- 0;
+  Trace.Buffer.clear buf;
+  let spend = match budget with None -> ignore | Some b -> fun () -> Budget.spend b in
+  apply_stuck_compiled plan c;
+  let out_off = c.Compiled.depth * c.Compiled.width in
+  List.iteri
+    (fun i phv ->
+      spend ();
+      if i < Array.length plan.fp_dropped && plan.fp_dropped.(i) then Compiled.no_inject c
+      else begin
+        Compiled.inject c phv;
+        apply_flips plan c.Compiled.cur i
+      end;
+      if Compiled.tick_once c then Trace.Buffer.push buf c.Compiled.cur ~off:out_off;
+      apply_stuck_compiled plan c)
+    inputs;
+  for _ = 1 to c.Compiled.depth do
+    spend ();
+    Compiled.no_inject c;
+    if Compiled.tick_once c then Trace.Buffer.push buf c.Compiled.cur ~off:out_off;
+    apply_stuck_compiled plan c
+  done
+
 (* --- Batched fault runs -----------------------------------------------------
 
-   The batched engines take the plan decomposed into {!Batch.primitives}
+   The batched paths (the interpreter's here, the native substrate's in
+   {!Native_substrate}) take the plan decomposed into {!Batch.primitives}
    (the [Batch] driver cannot depend on this module).  Drops and flips are
    applied by the driver at gather time against original injection-slot
    indices; stuck-at slots are asserted by the stage executors before every
@@ -216,38 +244,3 @@ let run_engine_batched ?init ?budget ~batch plan (e : Engine.t) ~inputs buf =
      apply_stuck_engine plan e;
      raise ex);
   apply_stuck_engine plan e
-
-let run_compiled_batched ?(init = []) ?budget ~batch plan (c : Compiled.t) ~inputs buf =
-  let overlays = primitives plan ~depth:c.Compiled.depth in
-  (try Compiled.run_batch_into ~init ?budget ~overlays ~batch c ~inputs buf
-   with Budget.Exhausted as ex ->
-     apply_stuck_compiled plan c;
-     raise ex);
-  apply_stuck_compiled plan c
-
-let run_compiled ?(init = []) ?budget plan (c : Compiled.t) ~inputs (buf : Trace.Buffer.t) =
-  Compiled.reset c.Compiled.compiled;
-  Compiled.load_state c.Compiled.compiled init;
-  c.Compiled.occ <- 0;
-  c.Compiled.tick <- 0;
-  Trace.Buffer.clear buf;
-  let spend = match budget with None -> ignore | Some b -> fun () -> Budget.spend b in
-  apply_stuck_compiled plan c;
-  let out_off = c.Compiled.depth * c.Compiled.width in
-  List.iteri
-    (fun i phv ->
-      spend ();
-      if i < Array.length plan.fp_dropped && plan.fp_dropped.(i) then Compiled.no_inject c
-      else begin
-        Compiled.inject c phv;
-        apply_flips plan c.Compiled.cur i
-      end;
-      if Compiled.tick_once c then Trace.Buffer.push buf c.Compiled.cur ~off:out_off;
-      apply_stuck_compiled plan c)
-    inputs;
-  for _ = 1 to c.Compiled.depth do
-    spend ();
-    Compiled.no_inject c;
-    if Compiled.tick_once c then Trace.Buffer.push buf c.Compiled.cur ~off:out_off;
-    apply_stuck_compiled plan c
-  done

@@ -293,7 +293,7 @@ let plugin_for (desc : Ir.t) ~mc : (Native_abi.plugin, string) result =
 
    A faithful mirror of {!Compiled}: double-buffered flat (depth+1) x width
    register file, occupancy bitmask, one budget unit per tick, and the
-   fault protocols of {!Faults.run_compiled}/{!Faults.run_compiled_batched}
+   fault protocols of {!Faults.run_compiled}/{!Faults.run_engine_batched}
    transcribed over the plugin's state rows. *)
 
 type t = {

@@ -47,8 +47,8 @@ module type S = sig
   (** As [run_into] — same independent-run contract, bit-identical trace,
       final state and budget accounting — but licensed to execute up to
       [batch] PHVs per dispatch over a structure-of-arrays register file.
-      Substrates without a batched path (dRMT) satisfy it with their
-      sequential [run_into]; callers may not observe the difference. *)
+      Substrates without a batched path (closures, dRMT) satisfy it with
+      their sequential [run_into]; callers may not observe the difference. *)
 
   val current_state : t -> (string * int array) list
 
@@ -66,10 +66,10 @@ let load_state (Packed ((module M), t)) init = M.load_state t init
 let run_into ?budget ?faults (Packed ((module M), t)) ~inputs buf =
   M.run_into ?budget ?faults t ~inputs buf
 
-(* Default batch capacity for the batched differential paths: large enough
-   to amortize per-stage dispatch, small enough that a whole lane file
-   (every (stage, container) slot plus ALU outputs at 8 bytes per slot per
-   lane) stays L1/L2-resident on the Table-1 geometries. *)
+(* Default batch capacity for the lane drivers (interpreter and native):
+   large enough to amortize per-stage dispatch, small enough that a whole
+   lane file (every (stage, container) slot at 8 bytes per lane) stays
+   L1/L2-resident on the Table-1 geometries. *)
 let default_batch = 64
 
 let run_batch_into ?budget ?faults ?(batch = default_batch) (Packed ((module M), t)) ~inputs buf =
@@ -132,10 +132,10 @@ module Compiled_substrate = struct
     | None -> Compiled.run_into ~init:t.init ?budget t.compiled ~inputs buf
     | Some plan -> Faults.run_compiled ~init:t.init ?budget plan t.compiled ~inputs buf
 
-  let run_batch_into ?budget ?faults ~batch t ~inputs buf =
-    match faults with
-    | None -> Compiled.run_batch_into ~init:t.init ?budget ~batch t.compiled ~inputs buf
-    | Some plan -> Faults.run_compiled_batched ~init:t.init ?budget ~batch plan t.compiled ~inputs buf
+  (* the closures have no lane path; the contract allows the sequential
+     loop, as for dRMT *)
+  let run_batch_into ?budget ?faults ~batch:_ t ~inputs buf =
+    run_into ?budget ?faults t ~inputs buf
 
   let current_state t = Compiled.current_state t.compiled
   let step t ~input = Compiled.step t.compiled ~input

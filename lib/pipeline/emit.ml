@@ -112,7 +112,7 @@ let to_string d = Fmt.str "%a" pp d
      `emitted-module-size` lint rule bounds, via {!stage_costs});
    - exposes two entry points per stage: a sequential one over the flat
      register file and a batched one sweeping [Bigarray] lanes, mirroring
-     {!Compile}/{!Vcompile} semantics bit-for-bit (latched state reads,
+     {!Compile}/{!Interp} semantics bit-for-bit (latched state reads,
      default-before-body evaluation, stuck-at overlays asserted before each
      lane's snapshot);
    - registers itself through {!Druzhba_dsim.Native_abi} when loaded.
@@ -402,8 +402,9 @@ let emit_stage_seq ctx buf (d : Ir.t) (st : Ir.stage) =
 (* Batched entry point for stage [s]: sweeps lanes 0..k-1 of the
    structure-of-arrays rows, whole stage per lane.  Per-ALU state rows are
    disjoint and each lane's inputs come only from the input row, so this is
-   bit-identical to the ALU-major sweeps of {!Vcompile} — including the
-   stuck-at overlay, asserted per stateful ALU before each lane's snapshot. *)
+   bit-identical to the sequential entry point run once per lane in slot
+   order — including the stuck-at overlay, asserted per stateful ALU before
+   each lane's snapshot. *)
 let emit_stage_lanes ctx buf (d : Ir.t) (st : Ir.stage) =
   let width = d.Ir.d_width and s = st.Ir.s_index in
   let g0 = stateful_base d s in

@@ -5,9 +5,11 @@
    loop: same output rows, same final state, same budget accounting, same
    {!Budget.Exhausted} behaviour — under any batch size, fault overlay, and
    mid-run fuel exhaustion.  The property below drives random programs
-   (depth x width x atom pool, random machine code) through both paths on
-   both RMT substrates at two optimization levels and requires every
-   observable to match exactly.
+   (depth x width x atom pool, random machine code) through both paths of
+   the interpreter at two optimization levels and requires every
+   observable to match exactly.  The closure substrate has no batched path
+   of its own, and the native lane driver is covered by the cross-substrate
+   property in test_native.ml.
 
    This is the test the oracle and campaign lean on when they route all
    their runs through the batched path: if it holds, batching is purely a
@@ -16,7 +18,6 @@
 module Prng = Druzhba_util.Prng
 module Ir = Druzhba_pipeline.Ir
 module Dgen = Druzhba_pipeline.Dgen
-module Compile = Druzhba_pipeline.Compile
 module Optimizer = Druzhba_optimizer.Optimizer
 module Atoms = Druzhba_atoms.Atoms
 module Fuzz = Druzhba_fuzz.Fuzz
@@ -93,32 +94,23 @@ let qcheck_batched_equals_sequential =
       List.for_all
         (fun level ->
           let d = Optimizer.apply ~level ~mc desc in
-          List.for_all
-            (fun (label, fresh_packed) ->
-              let seq =
-                observe ~how:`Seq ~budget_limit ~faults ~width ~inputs (fresh_packed ())
-              in
-              let bat =
-                observe ~how:(`Batch batch) ~budget_limit ~faults ~width ~inputs
-                  (fresh_packed ())
-              in
-              if seq = bat then true
-              else
-                QCheck.Test.fail_reportf
-                  "%s/%s diverges at case %d (batch %d, n %d, faults %s, fuel %s): seq \
-                   {raised %b, fuel %s, %d rows} vs batch {raised %b, fuel %s, %d rows}"
-                  label (Optimizer.level_name level) case_seed batch n
-                  (match faults with Some f -> Fmt.str "%a" Faults.pp f | None -> "none")
-                  (match budget_limit with Some l -> string_of_int l | None -> "inf")
-                  seq.ob_raised
-                  (match seq.ob_fuel with Some f -> string_of_int f | None -> "-")
-                  (List.length seq.ob_rows) bat.ob_raised
-                  (match bat.ob_fuel with Some f -> string_of_int f | None -> "-")
-                  (List.length bat.ob_rows))
-            [
-              ("engine", fun () -> Substrate.of_engine d ~mc);
-              ("compiled", fun () -> Substrate.of_compiled (Compile.compile d ~mc));
-            ])
+          let run how =
+            observe ~how ~budget_limit ~faults ~width ~inputs (Substrate.of_engine d ~mc)
+          in
+          let seq = run `Seq and bat = run (`Batch batch) in
+          if seq = bat then true
+          else
+            QCheck.Test.fail_reportf
+              "engine/%s diverges at case %d (batch %d, n %d, faults %s, fuel %s): seq \
+               {raised %b, fuel %s, %d rows} vs batch {raised %b, fuel %s, %d rows}"
+              (Optimizer.level_name level) case_seed batch n
+              (match faults with Some f -> Fmt.str "%a" Faults.pp f | None -> "none")
+              (match budget_limit with Some l -> string_of_int l | None -> "inf")
+              seq.ob_raised
+              (match seq.ob_fuel with Some f -> string_of_int f | None -> "-")
+              (List.length seq.ob_rows) bat.ob_raised
+              (match bat.ob_fuel with Some f -> string_of_int f | None -> "-")
+              (List.length bat.ob_rows))
         [ Optimizer.Unoptimized; Optimizer.Scc_inline ])
 
 let () =

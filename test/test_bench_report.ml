@@ -1,7 +1,8 @@
 (* Tests for the benchmark-report reader: the minimal JSON parser and the
    schema-tolerant bench view over it.  The reader must accept all report
    generations — druzhba-bench/1 (PR 5, sequential tick path), /2 (PR 8,
-   batched path) and /3 (PR 10, native-codegen substrate columns) — since
+   batched path), /3 (PR 10, native-codegen substrate columns) and /4
+   (closure rows back on the sequential loop, no "seq_ns_per_phv") — since
    the perf-trajectory tooling diffs one against the other; it must also
    reject malformed or unknown-schema documents loudly rather than
    returning partial rows. *)
@@ -79,6 +80,26 @@ let sample_v3_degraded =
   ]
 }|}
 
+(* Schema /4: the closure "ns_per_phv" is the sequential loop, so the row
+   has no "seq_ns_per_phv" and the document no "batch_sweep". *)
+let sample_v4 =
+  {|{
+  "schema": "druzhba-bench/4",
+  "pr": 12,
+  "phvs": 50000,
+  "batch": 64,
+  "closure_note": "closure ns_per_phv is the sequential tick loop",
+  "programs": [
+    {
+      "program": "spam_detection", "depth": 1, "width": 1, "alu": "raw",
+      "levels": [
+        {"level": "unopt", "ns_per_phv": 400.0, "phvs_per_sec": 2500000, "bytes_per_phv": 0.11, "engine_compiled_agree": true, "batch_agree": true},
+        {"level": "scc+inline", "ns_per_phv": 200.0, "phvs_per_sec": 5000000, "bytes_per_phv": 0.11, "engine_compiled_agree": true, "batch_agree": true, "native_ns_per_phv": 10.0, "native_seq_ns_per_phv": 25.0, "native_phvs_per_sec": 100000000, "native_agree": true}
+      ]
+    }
+  ]
+}|}
+
 let check_ok = function
   | Ok r -> r
   | Error msg -> Alcotest.failf "expected successful parse, got: %s" msg
@@ -121,6 +142,23 @@ let test_reads_v3 () =
   | Some row ->
     Alcotest.(check bool) "native fields optional per level" true
       (row.Bench_report.br_native_ns_per_phv = None)
+
+let test_reads_v4 () =
+  let r = check_ok (Bench_report.of_string sample_v4) in
+  Alcotest.(check string) "schema" "druzhba-bench/4" r.Bench_report.br_schema;
+  Alcotest.(check int) "pr" 12 r.Bench_report.br_pr;
+  Alcotest.(check bool) "batch field" true (r.Bench_report.br_batch = Some 64);
+  Alcotest.(check int) "rows" 2 (List.length r.Bench_report.br_rows);
+  (match Bench_report.find_row r ~program:"spam_detection" ~level:"scc+inline" with
+  | None -> Alcotest.fail "missing scc+inline row"
+  | Some row ->
+    Alcotest.(check (float 0.001)) "ns/PHV" 200.0 row.Bench_report.br_ns_per_phv;
+    Alcotest.(check bool) "no seq ns in /4" true (row.Bench_report.br_seq_ns_per_phv = None);
+    Alcotest.(check bool) "native ns parsed" true
+      (row.Bench_report.br_native_ns_per_phv = Some 10.0));
+  match Bench_report.native_speedups r with
+  | [ ("spam_detection", "scc+inline", s) ] -> Alcotest.(check (float 0.001)) "200 / 10" 20.0 s
+  | rows -> Alcotest.failf "expected one native row, got %d" (List.length rows)
 
 let test_native_speedup_join () =
   let r = check_ok (Bench_report.of_string sample_v3) in
@@ -175,7 +213,12 @@ let test_reads_committed_reports () =
                 row.Bench_report.br_level)
           r.Bench_report.br_rows
       end)
-    [ ("../BENCH_pr5.json", 5); ("../BENCH_pr8.json", 8); ("../BENCH_pr10.json", 10) ]
+    [
+      ("../BENCH_pr5.json", 5);
+      ("../BENCH_pr8.json", 8);
+      ("../BENCH_pr10.json", 10);
+      ("../BENCH_pr12.json", 12);
+    ]
 
 let () =
   Alcotest.run "bench_report"
@@ -185,6 +228,7 @@ let () =
           Alcotest.test_case "reads schema /1" `Quick test_reads_v1;
           Alcotest.test_case "reads schema /2" `Quick test_reads_v2;
           Alcotest.test_case "reads schema /3" `Quick test_reads_v3;
+          Alcotest.test_case "reads schema /4" `Quick test_reads_v4;
           Alcotest.test_case "native-vs-batched speedup join" `Quick test_native_speedup_join;
           Alcotest.test_case "speedups join across schemas" `Quick test_speedups_across_schemas;
           Alcotest.test_case "rejects malformed input" `Quick test_rejects_malformed;

@@ -46,14 +46,16 @@ let native_exn d ~mc =
 
 (* Runs [sub] and returns everything observable: the trace rows, the final
    state, and — when a budget is given — whether it exhausted, where the
-   trace stopped, and the fuel left. *)
-let observe ?faults ?fuel ~batched ~inputs ~width sub =
+   trace stopped, and the fuel left.  [batch] is the lane count of a
+   batched run. *)
+let observe ?faults ?fuel ?batch ~inputs ~width sub =
   let buf = Trace.Buffer.create ~width ~capacity:(List.length inputs) in
   let budget = Option.map Budget.ticks fuel in
   let exhausted =
     match
-      if batched then Substrate.run_batch_into ?budget ?faults ~batch:16 sub ~inputs buf
-      else Substrate.run_into ?budget ?faults sub ~inputs buf
+      match batch with
+      | Some batch -> Substrate.run_batch_into ?budget ?faults ~batch sub ~inputs buf
+      | None -> Substrate.run_into ?budget ?faults sub ~inputs buf
     with
     | () -> false
     | exception Budget.Exhausted -> true
@@ -61,12 +63,19 @@ let observe ?faults ?fuel ~batched ~inputs ~width sub =
   let rows = List.init (Trace.Buffer.length buf) (Trace.Buffer.row buf) in
   (rows, Substrate.current_state sub, exhausted, Option.map Budget.remaining budget)
 
+(* Lane counts for the batched runs, one drawn per seed: 1 is the one-lane
+   case of {!Batch.run} and 64 exceeds the 40 inputs. *)
+let batch_pool = [| 1; 3; 16; 64 |]
+
 let qcheck_cross_substrate =
   QCheck.Test.make ~name:"native is bit-identical to Engine and Compiled" ~count:6
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let desc, mc, width, bits = draw_program seed in
       let inputs = Traffic.phvs (Traffic.create ~seed:(Prng.derive seed 1) ~width ~bits) 40 in
+      let batch =
+        batch_pool.(Prng.int (Prng.create (Prng.derive seed 4)) (Array.length batch_pool))
+      in
       List.for_all
         (fun level ->
           let d = Optimizer.apply ~level ~mc desc in
@@ -76,17 +85,18 @@ let qcheck_cross_substrate =
           let fuel = 5 + Prng.int (Prng.create (Prng.derive seed 3)) 60 in
           List.for_all
             (fun (faults, fuel, batched) ->
-              let run sub = observe ?faults ?fuel ~batched ~inputs ~width sub in
+              let batch = if batched then Some batch else None in
+              let run sub = observe ?faults ?fuel ?batch ~inputs ~width sub in
               let native = run (native_exn d ~mc) in
               let engine = run (Substrate.of_engine ~label:"interpreter" d ~mc) in
               let compiled = run (Substrate.of_compiled (Compile.compile d ~mc)) in
               if native = engine && native = compiled then true
               else
                 QCheck.Test.fail_reportf
-                  "seed %d, level %s, faults=%b fuel=%s batched=%b: native diverges" seed
+                  "seed %d, level %s, faults=%b fuel=%s batch=%s: native diverges" seed
                   (Optimizer.level_name level) (Option.is_some faults)
                   (match fuel with Some f -> string_of_int f | None -> "-")
-                  batched)
+                  (match batch with Some b -> string_of_int b | None -> "-"))
             [
               (None, None, false);
               (None, None, true);

@@ -57,64 +57,46 @@ let test_steady_state_allocation (bm : Spec.benchmark) () =
     Alcotest.failf "%s: %.2f bytes allocated per steady-state PHV (bound %.0f)" bm.Spec.bm_name
       per_phv bytes_per_phv_bound
 
-(* The batched lane loop must hold the same bound: SoA lanes, the step
-   closures, and the bulk scatter are all preallocated at vectorization
-   time, so the steady state allocates nothing per PHV. *)
-let test_batched_steady_state_allocation (bm : Spec.benchmark) () =
-  let desc, mc, init = setup bm in
-  let inputs =
-    Traffic.phvs (Traffic.create ~seed:0xA110C ~width:bm.Spec.bm_width ~bits:32) alloc_phvs
-  in
-  let v3 = Optimizer.apply ~level:Optimizer.Scc_inline ~mc desc in
-  let c = Compile.compile v3 ~mc in
-  let t = Compiled.create c in
-  let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:alloc_phvs in
-  (* warm-up also triggers the lazy vectorization, which allocates once *)
-  Compiled.run_batch_into ~init ~batch:64 t ~inputs buf;
-  let a0 = Gc.allocated_bytes () in
-  Compiled.run_batch_into ~init ~batch:64 t ~inputs buf;
-  let a1 = Gc.allocated_bytes () in
-  let per_phv = (a1 -. a0) /. float_of_int alloc_phvs in
-  if per_phv >= bytes_per_phv_bound then
-    Alcotest.failf "%s: %.2f bytes allocated per steady-state batched PHV (bound %.0f)"
-      bm.Spec.bm_name per_phv bytes_per_phv_bound
-
-(* Batched = sequential on every Table-1 program, level and substrate, at a
+(* Batched = sequential on every Table-1 program and level, at a
    cache-sized batch and a deliberately awkward one (7 leaves a ragged tail
-   chunk on most input counts).  The random-program property test in
+   chunk on most input counts): the interpreter's lane driver must
+   reproduce the sequential run of both RMT substrates, the interpreter's
+   own tick loop and the closures'.  The random-program property test in
    test_batch.ml covers the same contract across geometry, faults and
    budgets; this pins the real benchmark programs. *)
 let test_batched_equals_sequential (bm : Spec.benchmark) () =
   let desc, mc, init = setup bm in
   let inputs = Traffic.phvs (Traffic.create ~seed:0xFA57 ~width:bm.Spec.bm_width ~bits:32) 50 in
   let capacity = List.length inputs in
+  let run how packed =
+    let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity in
+    (match how with
+    | `Seq -> Druzhba_dsim.Substrate.run_into packed ~inputs buf
+    | `Batch batch -> Druzhba_dsim.Substrate.run_batch_into ~batch packed ~inputs buf);
+    ( List.init (Trace.Buffer.length buf) (Trace.Buffer.row buf),
+      Druzhba_dsim.Substrate.current_state packed )
+  in
   List.iter
     (fun level ->
       let d = Optimizer.apply ~level ~mc desc in
-      let c = Compile.compile d ~mc in
-      List.iter
-        (fun (label, packed_of) ->
-          let seq_buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity in
-          let packed = packed_of () in
-          Druzhba_dsim.Substrate.run_into packed ~inputs seq_buf;
-          let seq_state = Druzhba_dsim.Substrate.current_state packed in
-          List.iter
-            (fun batch ->
-              let bat_buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity in
-              let packed = packed_of () in
-              Druzhba_dsim.Substrate.run_batch_into ~batch packed ~inputs bat_buf;
-              let bat_state = Druzhba_dsim.Substrate.current_state packed in
-              let rows b = List.init (Trace.Buffer.length b) (Trace.Buffer.row b) in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s/%s/%s batch %d = sequential" bm.Spec.bm_name
-                   (Optimizer.level_name level) label batch)
-                true
-                (rows seq_buf = rows bat_buf && seq_state = bat_state))
-            [ 64; 7 ])
+      let engine () = Druzhba_dsim.Substrate.of_engine ~init d ~mc in
+      let sequential =
         [
-          ("engine", fun () -> Druzhba_dsim.Substrate.of_engine ~init d ~mc);
-          ("compiled", fun () -> Druzhba_dsim.Substrate.of_compiled ~init c);
-        ])
+          ("engine", run `Seq (engine ()));
+          ("compiled", run `Seq (Druzhba_dsim.Substrate.of_compiled ~init (Compile.compile d ~mc)));
+        ]
+      in
+      List.iter
+        (fun batch ->
+          let batched = run (`Batch batch) (engine ()) in
+          List.iter
+            (fun (label, seq) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s engine batch %d = %s sequential" bm.Spec.bm_name
+                   (Optimizer.level_name level) batch label)
+                true (seq = batched))
+            sequential)
+        [ 64; 7 ])
     [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
 
 let test_buffered_path_equals_frozen (bm : Spec.benchmark) () =
@@ -158,11 +140,6 @@ let () =
         List.map
           (fun (bm : Spec.benchmark) ->
             Alcotest.test_case bm.Spec.bm_name `Quick (test_steady_state_allocation bm))
-          Spec.all );
-      ( "steady-state allocation (scc+inline, batched)",
-        List.map
-          (fun (bm : Spec.benchmark) ->
-            Alcotest.test_case bm.Spec.bm_name `Quick (test_batched_steady_state_allocation bm))
           Spec.all );
       ( "batched = sequential (all levels, both substrates)",
         List.map
