@@ -473,71 +473,55 @@ let closure_note =
    expect about 6x BENCH_pr10's batched scc+inline ns_per_phv (BENCH_pr10's own \
    seq_ns_per_phv / ns_per_phv has a median of 6.3 at scc+inline and 0.8 at unopt)"
 
+(* Timings are rounded to [places] decimals: the digits past that are noise. *)
+let fixed places x =
+  let scale = 10. ** float_of_int places in
+  Json.Float (Float.round (x *. scale) /. scale)
+
 let render_json ~quick ~phvs ~(native_unavailable : string option)
     ~(drmt : drmt_sample) ~(po : probe_overhead) (samples : program_sample list) =
-  let b = Buffer.create 4096 in
-  let bpf fmt = Printf.bprintf b fmt in
-  bpf "{\n";
-  bpf "  \"schema\": \"druzhba-bench/4\",\n";
-  bpf "  \"pr\": 12,\n";
-  bpf "  \"quick\": %b,\n" quick;
-  bpf "  \"phvs\": %d,\n" phvs;
-  bpf "  \"batch\": %d,\n" Substrate.default_batch;
-  bpf "  \"closure_note\": \"%s\",\n" closure_note;
-  (match native_unavailable with
-  | Some reason -> bpf "  \"native_unavailable\": \"%s\",\n" (String.escaped reason)
-  | None -> ());
-  bpf "  \"timed_reps\": %d,\n" timed_reps;
-  bpf "  \"check_phvs\": %d,\n" json_check_phvs;
-  bpf "  \"programs\": [\n";
-  List.iteri
-    (fun i ps ->
-      bpf "    {\n";
-      bpf "      \"program\": \"%s\", \"depth\": %d, \"width\": %d, \"alu\": \"%s\",\n"
-        ps.ps_program ps.ps_depth ps.ps_width ps.ps_alu;
-      bpf "      \"levels\": [\n";
-      List.iteri
-        (fun j ls ->
-          let native_fields =
-            match ls.ls_native with
-            | None -> ""
-            | Some nv ->
-              Printf.sprintf
-                ", \"native_ns_per_phv\": %.1f, \"native_seq_ns_per_phv\": %.1f, \
-                 \"native_phvs_per_sec\": %.0f, \"native_agree\": %b"
-                nv.nv_ns_per_phv nv.nv_seq_ns_per_phv nv.nv_phvs_per_sec nv.nv_agree
-          in
-          bpf
-            "        {\"level\": \"%s\", \"ns_per_phv\": %.1f, \"phvs_per_sec\": %.0f, \
-             \"bytes_per_phv\": %.2f, \"engine_compiled_agree\": %b, \"batch_agree\": %b%s}%s\n"
-            ls.ls_level ls.ls_ns_per_phv ls.ls_phvs_per_sec
-            ls.ls_bytes_per_phv ls.ls_agree ls.ls_batch_agree native_fields
-            (if j = 2 then "" else ","))
-        ps.ps_levels;
-      bpf "      ]\n";
-      bpf "    }%s\n" (if i = List.length samples - 1 then "" else ","))
-    samples;
-  bpf "  ],\n";
-  bpf "  \"probe_overhead\": {\n";
-  bpf "    \"program\": \"%s\", \"phvs\": %d,\n" po.po_program po.po_phvs;
-  bpf "    \"baseline_ns_per_phv\": %.1f, \"on_ns_per_phv\": %.1f, \"off_ns_per_phv\": %.1f,\n"
-    po.po_baseline_ns po.po_on_ns po.po_off_ns;
-  bpf "    \"off_ratio\": %.3f, \"off_ratio_bound\": %.1f, \"within_bound\": %b\n" (po_ratio po)
-    probe_ratio_bound (po_ok po);
-  bpf "  },\n";
-  bpf "  \"drmt\": {\n";
-  bpf "    \"program\": \"%s\", \"tables\": %d, \"phvs\": %d,\n" drmt.ds_program drmt.ds_tables
-    drmt.ds_phvs;
-  bpf "    \"modes\": [\n";
-  List.iteri
-    (fun i dm ->
-      bpf "      {\"mode\": \"%s\", \"ns_per_phv\": %.1f, \"phvs_per_sec\": %.0f}%s\n" dm.dm_mode
-        dm.dm_ns_per_phv dm.dm_phvs_per_sec
-        (if i = List.length drmt.ds_modes - 1 then "" else ","))
-    drmt.ds_modes;
-  bpf "    ],\n";
-  bpf "    \"event_sequential_agree\": %b\n" drmt.ds_agree;
-  bpf "  },\n";
+  let open Json in
+  let level_json ls =
+    let native_fields =
+      match ls.ls_native with
+      | None -> []
+      | Some nv ->
+        [
+          ("native_ns_per_phv", fixed 1 nv.nv_ns_per_phv);
+          ("native_seq_ns_per_phv", fixed 1 nv.nv_seq_ns_per_phv);
+          ("native_phvs_per_sec", fixed 0 nv.nv_phvs_per_sec);
+          ("native_agree", Bool nv.nv_agree);
+        ]
+    in
+    Obj
+      ([
+         ("level", Str ls.ls_level);
+         ("ns_per_phv", fixed 1 ls.ls_ns_per_phv);
+         ("phvs_per_sec", fixed 0 ls.ls_phvs_per_sec);
+         ("bytes_per_phv", fixed 2 ls.ls_bytes_per_phv);
+         ("engine_compiled_agree", Bool ls.ls_agree);
+         ("batch_agree", Bool ls.ls_batch_agree);
+       ]
+      @ native_fields)
+  in
+  let program_json ps =
+    Obj
+      [
+        ("program", Str ps.ps_program);
+        ("depth", Int ps.ps_depth);
+        ("width", Int ps.ps_width);
+        ("alu", Str ps.ps_alu);
+        ("levels", List (List.map level_json ps.ps_levels));
+      ]
+  in
+  let mode_json dm =
+    Obj
+      [
+        ("mode", Str dm.dm_mode);
+        ("ns_per_phv", fixed 1 dm.dm_ns_per_phv);
+        ("phvs_per_sec", fixed 0 dm.dm_phvs_per_sec);
+      ]
+  in
   let all_agree =
     drmt.ds_agree
     && po_ok po
@@ -550,12 +534,52 @@ let render_json ~quick ~phvs ~(native_unavailable : string option)
              ps.ps_levels)
          samples
   in
-  bpf "  \"all_agree\": %b\n" all_agree;
-  bpf "}\n";
-  (Buffer.contents b, all_agree)
+  let native_unavailable =
+    Option.fold ~none:[] ~some:(fun reason -> [ ("native_unavailable", Str reason) ]) native_unavailable
+  in
+  let report =
+    Obj
+      ([
+         ("schema", Str "druzhba-bench/4");
+         ("pr", Int 12);
+         ("quick", Bool quick);
+         ("phvs", Int phvs);
+         ("batch", Int Substrate.default_batch);
+         ("closure_note", Str closure_note);
+       ]
+      @ native_unavailable
+      @ [
+          ("timed_reps", Int timed_reps);
+          ("check_phvs", Int json_check_phvs);
+          ("programs", List (List.map program_json samples));
+          ( "probe_overhead",
+            Obj
+              [
+                ("program", Str po.po_program);
+                ("phvs", Int po.po_phvs);
+                ("baseline_ns_per_phv", fixed 1 po.po_baseline_ns);
+                ("on_ns_per_phv", fixed 1 po.po_on_ns);
+                ("off_ns_per_phv", fixed 1 po.po_off_ns);
+                ("off_ratio", fixed 3 (po_ratio po));
+                ("off_ratio_bound", Float probe_ratio_bound);
+                ("within_bound", Bool (po_ok po));
+              ] );
+          ( "drmt",
+            Obj
+              [
+                ("program", Str drmt.ds_program);
+                ("tables", Int drmt.ds_tables);
+                ("phvs", Int drmt.ds_phvs);
+                ("modes", List (List.map mode_json drmt.ds_modes));
+                ("event_sequential_agree", Bool drmt.ds_agree);
+              ] );
+          ("all_agree", Bool all_agree);
+        ])
+  in
+  (to_string report ^ "\n", all_agree)
 
 (* Speedup table against the committed PR 5 report (sequential tick path),
-   read back through the schema-tolerant {!Bench_report} parser. *)
+   read back through the schema-tolerant {!Bench_report} view. *)
 let print_speedups ~path ~baseline_path =
   match (Bench_report.of_file baseline_path, Bench_report.of_file path) with
   | Error _, _ | _, Error _ ->

@@ -1040,13 +1040,8 @@ let vet_cmd =
                 "spec" "pipeline" ob.Compiler.Vet.vo_status)
             spec_obs
       in
-      let taxonomy_json =
-        "{"
-        ^ String.concat ","
-            (List.map (fun (b, n) -> Printf.sprintf "\"%s\":%d" b n) counts)
-        ^ "}"
-      in
-      Lint.target ~extra:[ ("taxonomy", taxonomy_json) ] ~name findings
+      let taxonomy = Json.Obj (List.map (fun (b, n) -> (b, Json.Int n)) counts) in
+      Lint.target ~extra:[ ("taxonomy", taxonomy) ] ~name findings
     in
     let targets = List.map vet_target names in
     if json then print_string (Lint.report_to_json ~tool:"vet" targets ^ "\n");

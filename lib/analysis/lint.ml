@@ -20,6 +20,7 @@
      lint unless the caller opts in ([--strict]). *)
 
 module Value = Druzhba_util.Value
+module Json = Druzhba_util.Json
 module Machine_code = Druzhba_machine_code.Machine_code
 module Ir = Druzhba_pipeline.Ir
 module Alu_analysis = Druzhba_alu_dsl.Analysis
@@ -478,36 +479,15 @@ let pp ppf findings =
   List.iter (fun f -> Fmt.pf ppf "%a@," pp_finding f) findings;
   Fmt.pf ppf "%d error(s), %d warning(s)@]" errors warnings
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let finding_to_json f =
-  Printf.sprintf "{\"rule\":\"%s\",\"severity\":\"%s\",\"subject\":\"%s\",\"message\":\"%s\"}"
-    (json_escape f.f_rule) (severity_name f.f_severity) (json_escape f.f_subject)
-    (json_escape f.f_message)
-
-let to_json findings =
-  let errors, warnings = summary findings in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"findings\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (finding_to_json f))
-    findings;
-  Buffer.add_string b (Printf.sprintf "],\"errors\":%d,\"warnings\":%d}" errors warnings);
-  Buffer.contents b
+let finding_to_json f : Json.t =
+  Json.(
+    Obj
+      [
+        ("rule", Str f.f_rule);
+        ("severity", Str (severity_name f.f_severity));
+        ("subject", Str f.f_subject);
+        ("message", Str f.f_message);
+      ])
 
 (* --- Versioned report envelope ---------------------------------------------
 
@@ -526,37 +506,30 @@ let report_schema = "druzhba-report/1"
 type target = {
   t_name : string;
   t_findings : finding list;
-  t_extra : (string * string) list;  (* extra JSON fields: key -> rendered value *)
+  t_extra : (string * Json.t) list;  (* extra fields, appended in order *)
 }
 
 let target ?(extra = []) ~name findings = { t_name = name; t_findings = findings; t_extra = extra }
 
 let target_to_json t =
   let errors, warnings = summary t.t_findings in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\",\"findings\":[" (json_escape t.t_name));
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (finding_to_json f))
-    t.t_findings;
-  Buffer.add_string b (Printf.sprintf "],\"errors\":%d,\"warnings\":%d" errors warnings);
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf ",\"%s\":%s" (json_escape k) v))
-    t.t_extra;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.(
+    Obj
+      ([
+         ("name", Str t.t_name);
+         ("findings", List (List.map finding_to_json t.t_findings));
+         ("errors", Int errors);
+         ("warnings", Int warnings);
+       ]
+      @ t.t_extra))
 
 let report_to_json ~tool targets =
   let targets = List.sort (fun a b -> String.compare a.t_name b.t_name) targets in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"%s\",\"tool\":\"%s\",\"targets\":[" report_schema
-       (json_escape tool));
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (target_to_json t))
-    targets;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.(
+    to_string
+      (Obj
+         [
+           ("schema", Str report_schema);
+           ("tool", Str tool);
+           ("targets", List (List.map target_to_json targets));
+         ]))

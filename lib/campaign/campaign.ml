@@ -797,7 +797,7 @@ let is_default_trial ~(cfg : config) (t : trial) =
    constructor below is structured rather than pretty-printed, because the
    checkpoint decoder round-trips these records. *)
 
-let json_of_violation (v : Machine_code.violation) : Report.json =
+let json_of_violation (v : Machine_code.violation) : Report.t =
   match v with
   | Machine_code.Missing_pair name ->
     Report.Obj [ ("kind", Report.Str "missing_pair"); ("name", Report.Str name) ]
@@ -810,7 +810,7 @@ let json_of_violation (v : Machine_code.violation) : Report.json =
         ("bound", Report.Int vi_bound);
       ]
 
-let json_of_outcome (o : outcome) : Report.json =
+let json_of_outcome (o : outcome) : Report.t =
   match o with
   | Finished (Oracle.Agree { configs; phvs }) ->
     Report.Obj [ ("class", Report.Str "agree"); ("configs", Report.Int configs);
@@ -849,7 +849,7 @@ let json_of_outcome (o : outcome) : Report.json =
   | Timed_out { to_fuel } ->
     Report.Obj [ ("class", Report.Str "timeout"); ("fuel", Report.Int to_fuel) ]
 
-let json_of_shrunk (s : Shrink.result) : Report.json =
+let json_of_shrunk (s : Shrink.result) : Report.t =
   Report.Obj
     [
       ("phvs", Report.List (List.map Report.phv s.Shrink.sh_inputs));
@@ -860,7 +860,7 @@ let json_of_shrunk (s : Shrink.result) : Report.json =
       ("probes", Report.Int s.Shrink.sh_probes);
     ]
 
-let json_of_faults (fs : fault_stats) : Report.json =
+let json_of_faults (fs : fault_stats) : Report.t =
   Report.Obj
     [
       ("runs", Report.Int fs.fs_runs);
@@ -896,7 +896,7 @@ let json_of_params = function
       ("stateless", Report.Str stateless);
     ]
 
-let json_of_trial (t : trial) : Report.json =
+let json_of_trial (t : trial) : Report.t =
   let origin =
     match t.t_origin with None -> [] | Some o -> [ ("origin", Corpus.origin_json o) ]
   in

@@ -43,7 +43,7 @@ let signature_equal (a : signature) (b : signature) = a = b
 type t = {
   ck_signature : signature;
   ck_completed : (int * int) list; (* inclusive index ranges, ascending *)
-  ck_records : Report.json list; (* non-default trials, in index order *)
+  ck_records : Report.t list; (* non-default trials, in index order *)
 }
 
 (* Length of the contiguous completed prefix starting at trial 0 — the
@@ -55,7 +55,7 @@ let completed_prefix t =
 
 (* --- Encoding --------------------------------------------------------------- *)
 
-let json_of_signature (s : signature) : Report.json =
+let json_of_signature (s : signature) : Report.t =
   Report.Obj
     [
       ("substrate", Report.Str s.sg_substrate);
@@ -70,7 +70,7 @@ let json_of_signature (s : signature) : Report.json =
       ("faults_per_run", Report.Int s.sg_faults_per_run);
     ]
 
-let to_json (t : t) : Report.json =
+let to_json (t : t) : Report.t =
   Report.Obj
     [
       ("format", Report.Str format_tag);
@@ -118,7 +118,7 @@ let signature_of_json j : signature =
     sg_faults_per_run = field j "faults_per_run" Report.to_int;
   }
 
-let of_json (j : Report.json) : t =
+let of_json (j : Report.t) : t =
   (match Report.member "format" j with
   | Some (Report.Str tag) when tag = format_tag -> ()
   | _ -> raise (Bad "not a druzhba campaign checkpoint"));

@@ -253,7 +253,7 @@ let material_json = function
                entries) );
       ]
 
-let entry_json (e : entry) : Report.json =
+let entry_json (e : entry) : Report.t =
   Report.Obj
     [
       ("schema", Report.Str entry_schema);
@@ -267,7 +267,7 @@ let entry_json (e : entry) : Report.json =
 let entry_file id = Printf.sprintf "entry-%05d.json" id
 
 let manifest_json ~master_seed ~(coverage : Coverage.t) ~(summary : Coverage.summary) t :
-    Report.json =
+    Report.t =
   Report.Obj
     [
       ("schema", Report.Str manifest_schema);

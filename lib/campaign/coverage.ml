@@ -198,7 +198,7 @@ type summary = {
   sm_corpus_mutated : int;
 }
 
-let summary_json (s : summary) : Report.json =
+let summary_json (s : summary) : Report.t =
   Report.Obj
     [
       ("schema", Report.Str schema);
@@ -217,7 +217,7 @@ let summary_json (s : summary) : Report.json =
 (* Total decoder for the coverage section.  An unknown schema is an [Error]
    naming both schemas — consumers must refuse rather than guess at a
    layout they were not written for. *)
-let summary_of_json (j : Report.json) : (summary, string) result =
+let summary_of_json (j : Report.t) : (summary, string) result =
   let ( let* ) = Result.bind in
   let field key conv =
     match Option.bind (Report.member key j) conv with

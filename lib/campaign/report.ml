@@ -1,224 +1,9 @@
-(* Machine-readable campaign reports.
+(* Machine-readable campaign reports: the shared JSON codec
+   ({!Druzhba_util.Json}) plus the PHV encoding the campaign records use.
+   Nothing environmental (wall time, hostnames, job counts) is ever put in
+   a report — the acceptance bar is that a campaign report for a fixed
+   master seed is byte-identical whatever [--jobs] was. *)
 
-   A deliberately tiny JSON emitter (the repo carries no JSON dependency)
-   with one hard requirement: byte-determinism.  Objects render their keys
-   in the order given, numbers are plain OCaml ints, and nothing
-   environmental (wall time, hostnames, job counts) is ever emitted — the
-   acceptance bar is that a campaign report for a fixed master seed is
-   byte-identical whatever [--jobs] was. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_string (j : json) =
-  let buf = Buffer.create 1024 in
-  let rec emit = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-    | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit item)
-        items;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
-          emit v)
-        fields;
-      Buffer.add_char buf '}'
-  in
-  emit j;
-  Buffer.contents buf
+include Druzhba_util.Json
 
 let phv (p : Druzhba_dsim.Phv.t) = List (Array.to_list (Array.map (fun v -> Int v) p))
-
-(* --- Parsing ---------------------------------------------------------------
-
-   Recursive-descent parser for the subset the emitter produces (null,
-   booleans, integers, strings, arrays, objects) — enough to read back
-   checkpoint files without taking a JSON dependency.  Total: every failure
-   is an [Error] with an offset. *)
-
-exception Parse_fail of int * string
-
-let parse (src : string) : (json, string) result =
-  let n = String.length src in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_fail (!pos, msg)) in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some got when got = c -> advance ()
-    | Some got -> fail (Printf.sprintf "expected %C, found %C" c got)
-    | None -> fail (Printf.sprintf "expected %C, found end of input" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub src !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail (Printf.sprintf "invalid literal (expected %s)" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-        | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub src !pos 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> fail "invalid \\u escape"
-          in
-          (* the emitter only escapes control characters, so a single byte
-             suffices; anything else round-trips as '?' rather than failing *)
-          Buffer.add_char buf (if code < 0x100 then Char.chr code else '?');
-          pos := !pos + 4;
-          go ()
-        | _ -> fail "invalid escape")
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_int () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    while match peek () with Some c when c >= '0' && c <= '9' -> true | _ -> false do
-      advance ()
-    done;
-    match int_of_string_opt (String.sub src start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "invalid integer"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> Str (parse_string ())
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); List [] end
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items (v :: acc)
-          | Some ']' ->
-            advance ();
-            List (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        items []
-      end
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
-      else begin
-        let field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          (k, parse_value ())
-        in
-        let rec fields acc =
-          let kv = field () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields (kv :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev (kv :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        fields []
-      end
-    | Some ('-' | '0' .. '9') -> Int (parse_int ())
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos < n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_fail (at, msg) -> Error (Printf.sprintf "json parse error at offset %d: %s" at msg)
-
-(* --- Accessors (for checkpoint decoding) ----------------------------------- *)
-
-let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
-
-let to_int = function Int i -> Some i | _ -> None
-let to_str = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-let to_list = function List l -> Some l | _ -> None

@@ -22,6 +22,7 @@ let version = "1.0.0"
 module Value = Druzhba_util.Value
 module Prng = Druzhba_util.Prng
 module Atomic_file = Druzhba_util.Atomic_file
+module Json = Druzhba_util.Json
 module Alu_dsl = struct
   module Ast = Druzhba_alu_dsl.Ast
   module Lexer = Druzhba_alu_dsl.Lexer

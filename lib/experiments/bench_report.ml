@@ -11,172 +11,14 @@
    "batch_sweep" are dropped, and "batch_agree" covers the interpreter and
    native lane drivers).  This module parses any of those versions into
    one row shape so the perf-trajectory tooling and the tests can diff
-   reports across PRs without caring which harness wrote them.
+   reports across PRs without caring which harness wrote them.  Parsing is
+   {!Druzhba_util.Json}'s; this module is only the schema view. *)
 
-   The parser is a minimal recursive-descent JSON reader over the subset
-   the harness emits (objects, arrays, strings, numbers, booleans, null) —
-   the container ships no JSON library, and the bench format is ours, so a
-   ~100-line reader is cheaper than a dependency. *)
+module Json = Druzhba_util.Json
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-(* --- Parser ------------------------------------------------------------------ *)
-
-type cursor = { src : string; mutable pos : int }
-
-let fail cur msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg cur.pos))
-let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
-
-let skip_ws cur =
-  while
-    cur.pos < String.length cur.src
-    && match cur.src.[cur.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    cur.pos <- cur.pos + 1
-  done
-
-let expect cur c =
-  skip_ws cur;
-  match peek cur with
-  | Some d when d = c -> cur.pos <- cur.pos + 1
-  | _ -> fail cur (Printf.sprintf "expected '%c'" c)
-
-let literal cur word value =
-  if
-    cur.pos + String.length word <= String.length cur.src
-    && String.sub cur.src cur.pos (String.length word) = word
-  then begin
-    cur.pos <- cur.pos + String.length word;
-    value
-  end
-  else fail cur (Printf.sprintf "expected '%s'" word)
-
-let parse_string cur =
-  expect cur '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek cur with
-    | None -> fail cur "unterminated string"
-    | Some '"' -> cur.pos <- cur.pos + 1
-    | Some '\\' -> (
-      cur.pos <- cur.pos + 1;
-      match peek cur with
-      | Some (('"' | '\\' | '/') as c) ->
-        Buffer.add_char b c;
-        cur.pos <- cur.pos + 1;
-        go ()
-      | Some 'n' ->
-        Buffer.add_char b '\n';
-        cur.pos <- cur.pos + 1;
-        go ()
-      | Some 't' ->
-        Buffer.add_char b '\t';
-        cur.pos <- cur.pos + 1;
-        go ()
-      | _ -> fail cur "unsupported escape")
-    | Some c ->
-      Buffer.add_char b c;
-      cur.pos <- cur.pos + 1;
-      go ()
-  in
-  go ();
-  Buffer.contents b
-
-let parse_number cur =
-  let start = cur.pos in
-  let numchar c =
-    match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-  in
-  while cur.pos < String.length cur.src && numchar cur.src.[cur.pos] do
-    cur.pos <- cur.pos + 1
-  done;
-  match float_of_string_opt (String.sub cur.src start (cur.pos - start)) with
-  | Some f -> f
-  | None -> fail cur "malformed number"
-
-let rec parse_value cur =
-  skip_ws cur;
-  match peek cur with
-  | None -> fail cur "unexpected end of input"
-  | Some '{' ->
-    cur.pos <- cur.pos + 1;
-    skip_ws cur;
-    if peek cur = Some '}' then begin
-      cur.pos <- cur.pos + 1;
-      Obj []
-    end
-    else begin
-      let rec members acc =
-        let key = (skip_ws cur; parse_string cur) in
-        expect cur ':';
-        let v = parse_value cur in
-        skip_ws cur;
-        match peek cur with
-        | Some ',' ->
-          cur.pos <- cur.pos + 1;
-          members ((key, v) :: acc)
-        | Some '}' ->
-          cur.pos <- cur.pos + 1;
-          Obj (List.rev ((key, v) :: acc))
-        | _ -> fail cur "expected ',' or '}'"
-      in
-      members []
-    end
-  | Some '[' ->
-    cur.pos <- cur.pos + 1;
-    skip_ws cur;
-    if peek cur = Some ']' then begin
-      cur.pos <- cur.pos + 1;
-      Arr []
-    end
-    else begin
-      let rec elements acc =
-        let v = parse_value cur in
-        skip_ws cur;
-        match peek cur with
-        | Some ',' ->
-          cur.pos <- cur.pos + 1;
-          elements (v :: acc)
-        | Some ']' ->
-          cur.pos <- cur.pos + 1;
-          Arr (List.rev (v :: acc))
-        | _ -> fail cur "expected ',' or ']'"
-      in
-      elements []
-    end
-  | Some '"' -> Str (parse_string cur)
-  | Some 't' -> literal cur "true" (Bool true)
-  | Some 'f' -> literal cur "false" (Bool false)
-  | Some 'n' -> literal cur "null" Null
-  | Some _ -> Num (parse_number cur)
-
-let parse (s : string) : (json, string) result =
-  let cur = { src = s; pos = 0 } in
-  match parse_value cur with
-  | v ->
-    skip_ws cur;
-    if cur.pos = String.length s then Ok v else Error "trailing garbage after document"
-  | exception Parse_error msg -> Error msg
-
-(* --- Accessors --------------------------------------------------------------- *)
-
-let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
-let to_float = function Num f -> Some f | _ -> None
-let to_string = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-let to_list = function Arr l -> Some l | _ -> None
-
-let float_field key j = Option.bind (member key j) to_float
-let string_field key j = Option.bind (member key j) to_string
-let bool_field key j = Option.bind (member key j) to_bool
+let float_field key j = Option.bind (Json.member key j) Json.to_float
+let string_field key j = Option.bind (Json.member key j) Json.to_str
+let bool_field key j = Option.bind (Json.member key j) Json.to_bool
 
 (* --- Bench-report view -------------------------------------------------------- *)
 
@@ -201,7 +43,7 @@ type t = {
 let supported_schemas =
   [ "druzhba-bench/1"; "druzhba-bench/2"; "druzhba-bench/3"; "druzhba-bench/4" ]
 
-let of_json (j : json) : (t, string) result =
+let of_json (j : Json.t) : (t, string) result =
   match string_field "schema" j with
   | None -> Error "missing \"schema\""
   | Some schema when not (List.mem schema supported_schemas) ->
@@ -209,7 +51,7 @@ let of_json (j : json) : (t, string) result =
   | Some schema -> (
     let pr = match float_field "pr" j with Some f -> int_of_float f | None -> 0 in
     let batch = Option.map int_of_float (float_field "batch" j) in
-    match Option.bind (member "programs" j) to_list with
+    match Option.bind (Json.member "programs" j) Json.to_list with
     | None -> Error "missing \"programs\" array"
     | Some programs -> (
       let row_of_level program lj =
@@ -233,7 +75,7 @@ let of_json (j : json) : (t, string) result =
       let rows =
         List.concat_map
           (fun pj ->
-            match (string_field "program" pj, Option.bind (member "levels" pj) to_list) with
+            match (string_field "program" pj, Option.bind (Json.member "levels" pj) Json.to_list) with
             | Some program, Some levels -> List.filter_map (row_of_level program) levels
             | _ -> [])
           programs
@@ -250,7 +92,7 @@ let of_json (j : json) : (t, string) result =
             br_rows = rows;
           }))
 
-let of_string s = Result.bind (parse s) of_json
+let of_string s = Result.bind (Json.parse s) of_json
 
 let of_file path =
   match

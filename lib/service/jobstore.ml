@@ -49,7 +49,7 @@ type job = {
   j_id : string;
   j_seq : int;
   j_kind : Protocol.kind;
-  j_spec : Report.json;
+  j_spec : Report.t;
   j_args : string list;
   j_trials : int;
   mutable j_state : state;
@@ -84,7 +84,7 @@ let count_state t st =
 
 (* Only fields that survive a daemon restart are journaled; pid and the
    various timestamps are daemon-local and reset on replay. *)
-let json_of_job (j : job) : Report.json =
+let json_of_job (j : job) : Report.t =
   let opt_str = function Some s -> Report.Str s | None -> Report.Null in
   Report.Obj
     [
@@ -102,7 +102,7 @@ let json_of_job (j : job) : Report.json =
       ("pid", match j.j_pid with Some p -> Report.Int p | None -> Report.Null);
     ]
 
-let to_json (t : t) : Report.json =
+let to_json (t : t) : Report.t =
   Report.Obj
     [
       ("format", Report.Str format_tag);
@@ -115,7 +115,7 @@ exception Bad of string
 
 let need msg = function Some v -> v | None -> raise (Bad msg)
 
-let job_of_json (j : Report.json) : job * int option =
+let job_of_json (j : Report.t) : job * int option =
   let str key = need ("job field " ^ key) (Option.bind (Report.member key j) Report.to_str) in
   let int key = need ("job field " ^ key) (Option.bind (Report.member key j) Report.to_int) in
   let opt_str key =
@@ -245,7 +245,7 @@ let submit (t : t) (sb : Protocol.submission) : job =
 
 (* Append-only ndjson; losing the tail in a crash is fine (events are an
    audit trail, not control state). *)
-let event (t : t) (j : job) ~(now : float) (kind : string) (fields : (string * Report.json) list) =
+let event (t : t) (j : job) ~(now : float) (kind : string) (fields : (string * Report.t) list) =
   let line =
     Report.to_string
       (Report.Obj
@@ -280,7 +280,7 @@ let read_events (t : t) (j : job) : string list =
 
 (* --- Status JSON ------------------------------------------------------------- *)
 
-let job_status (t : t) (j : job) : Report.json =
+let job_status (t : t) (j : job) : Report.t =
   let opt_str = function Some s -> Report.Str s | None -> Report.Null in
   Report.Obj
     ([
@@ -300,7 +300,7 @@ let job_status (t : t) (j : job) : Report.json =
       [ ("report", Report.Str (Printf.sprintf "/jobs/%s/report" j.j_id)) ]
     else [])
 
-let status (t : t) : Report.json =
+let status (t : t) : Report.t =
   Report.Obj
     [
       ("jobs", Report.List (List.map (job_status t) t.jobs));
@@ -322,7 +322,7 @@ let findings_tag = "druzhba-service-findings"
 
 (* Canonical key text for one divergent trial record (trial JSON as emitted
    by Campaign.json_of_trial). *)
-let finding_key (trial : Report.json) : string option =
+let finding_key (trial : Report.t) : string option =
   match Report.member "outcome" trial with
   | Some outcome
     when Report.member "class" outcome = Some (Report.Str "backend_divergence") ->
@@ -401,7 +401,7 @@ let save_findings root (f : findings) =
 (* Folds a finished job's report into the store; returns how many findings
    were new.  Reports are byte-deterministic, so folding the same report
    twice (journal replay) is a no-op. *)
-let fold_report root (f : findings) ~(job_id : string) (report : Report.json) : int =
+let fold_report root (f : findings) ~(job_id : string) (report : Report.t) : int =
   let trials =
     match Option.bind (Report.member "results" report) Report.to_list with
     | Some l -> l
@@ -419,7 +419,7 @@ let fold_report root (f : findings) ~(job_id : string) (report : Report.json) : 
   if !fresh > 0 then save_findings root f;
   !fresh
 
-let findings_json (f : findings) : Report.json =
+let findings_json (f : findings) : Report.t =
   Report.Obj
     [
       ("count", Report.Int (List.length f.fd_keys));

@@ -187,7 +187,7 @@ let kind_of_name = function "campaign" -> Some Campaign | "directed" -> Some Dir
 
 type submission = {
   sb_kind : kind;
-  sb_spec : Report.json; (* the submission as received, persisted verbatim *)
+  sb_spec : Report.t; (* the submission as received, persisted verbatim *)
   sb_args : string list; (* spec-derived argv tail for the worker *)
   sb_files : (string * string) list; (* written into the job dir *)
   sb_trials : int; (* total trials, for progress reporting *)
@@ -331,7 +331,7 @@ let parse_directed spec fields =
         sb_trials = 0;
       }
 
-let parse_submission (spec : Report.json) : (submission, string) result =
+let parse_submission (spec : Report.t) : (submission, string) result =
   let* fields = obj_fields spec in
   let* kind = get_str fields "kind" in
   match Option.map kind_of_name kind with

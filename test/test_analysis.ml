@@ -356,7 +356,7 @@ let test_lint_benchmarks_error_free () =
 let test_lint_json_shape () =
   let desc = small_desc () in
   let mc = seeded_mc desc [ (mux0, 99) ] in
-  let json = Lint.to_json (Lint.check ~mc desc) in
+  let json = Lint.report_to_json ~tool:"lint" [ Lint.target ~name:"small" (Lint.check ~mc desc) ] in
   Alcotest.(check bool) "mentions the rule" true
     (contains ~sub:{|"rule":"selector-out-of-range"|} json)
 

@@ -1,5 +1,5 @@
-(* Tests for the benchmark-report reader: the minimal JSON parser and the
-   schema-tolerant bench view over it.  The reader must accept all report
+(* Tests for the benchmark-report reader: the schema-tolerant bench view
+   over the shared JSON codec.  The reader must accept all report
    generations — druzhba-bench/1 (PR 5, sequential tick path), /2 (PR 8,
    batched path), /3 (PR 10, native-codegen substrate columns) and /4
    (closure rows back on the sequential loop, no "seq_ns_per_phv") — since
@@ -103,6 +103,17 @@ let sample_v4 =
 let check_ok = function
   | Ok r -> r
   | Error msg -> Alcotest.failf "expected successful parse, got: %s" msg
+
+(* Any JSON escape is legal in a string field; the reason text comes from
+   the native toolchain probe, which the harness does not control. *)
+let test_reads_all_escapes () =
+  let doc =
+    {|{"schema": "druzhba-bench/4", "pr": 12, "native_unavailable": "a\r\nb\u0041",
+       "programs": [{"program": "p", "levels": [{"level": "unopt", "ns_per_phv": 1.0,
+       "engine_compiled_agree": true}]}]}|}
+  in
+  let r = check_ok (Bench_report.of_string doc) in
+  Alcotest.(check (option string)) "decoded" (Some "a\r\nbA") r.Bench_report.br_native_unavailable
 
 let test_reads_v1 () =
   let r = check_ok (Bench_report.of_string sample_v1) in
@@ -231,6 +242,7 @@ let () =
           Alcotest.test_case "reads schema /4" `Quick test_reads_v4;
           Alcotest.test_case "native-vs-batched speedup join" `Quick test_native_speedup_join;
           Alcotest.test_case "speedups join across schemas" `Quick test_speedups_across_schemas;
+          Alcotest.test_case "reads every JSON escape" `Quick test_reads_all_escapes;
           Alcotest.test_case "rejects malformed input" `Quick test_rejects_malformed;
           Alcotest.test_case "reads committed reports" `Quick test_reads_committed_reports;
         ] );

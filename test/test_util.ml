@@ -4,6 +4,7 @@ module Value = Druzhba_util.Value
 module Prng = Druzhba_util.Prng
 module Hashing = Druzhba_util.Hashing
 module Scanner = Druzhba_util.Scanner
+module Json = Druzhba_util.Json
 
 let check_int = Alcotest.(check int)
 
@@ -193,6 +194,94 @@ let test_derive_adjacent_no_collisions () =
   done;
   Alcotest.(check int) "10k adjacent trials, no seed collisions" 0 !collisions
 
+(* --- Json -------------------------------------------------------------------- *)
+
+(* Strings and keys are arbitrary bytes (control characters, quotes,
+   backslashes, bytes >= 0x80); ints include the extremes; floats are any
+   finite value, integral ones included. *)
+let gen_json : Json.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let int = frequency [ (1, return min_int); (1, return max_int); (6, int) ] in
+  let finite =
+    frequency
+      [
+        (4, map (fun f -> if Float.is_finite f then f else 0.5) float);
+        (1, map float_of_int small_signed_int);
+        (1, return (-0.));
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) finite;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 4))));
+               (1, map (fun kvs -> Json.Obj kvs) (list_size (int_bound 4) (pair str (self (n / 4)))));
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string j) = Ok j" ~count:1000
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun j -> Json.parse (Json.to_string j) = Ok j)
+
+let test_json_non_finite () =
+  List.iter
+    (fun f -> Alcotest.(check string) (string_of_float f) "null" (Json.to_string (Json.Float f)))
+    [ nan; infinity; neg_infinity ]
+
+let test_json_float_repr () =
+  List.iter
+    (fun (f, text) -> Alcotest.(check string) text text (Json.to_string (Json.Float f)))
+    [ (2., "2.0"); (-0., "-0.0"); (0.1, "0.1"); (1714.6, "1714.6"); (1e300, "1e+300") ]
+
+let test_json_escapes () =
+  Alcotest.(check string) "emitter escapes"
+    {|{"k\"":"a\"\\\n\r\t\u0001\u001f/é"}|}
+    (Json.to_string (Json.Obj [ ("k\"", Json.Str "a\"\\\n\r\t\001\031/\xc3\xa9") ]));
+  Alcotest.(check bool) "all JSON escapes decode" true
+    (Json.parse {|"\"\\\/\b\f\n\r\t\u0041"|} = Ok (Json.Str "\"\\/\b\012\n\r\tA"))
+
+let test_json_numbers () =
+  let ok text expect =
+    Alcotest.(check bool) text true (Json.parse text = Ok expect)
+  in
+  ok "-3" (Json.Int (-3));
+  ok "1.5" (Json.Float 1.5);
+  ok "-2e-3" (Json.Float (-2e-3));
+  ok "1E+2" (Json.Float 100.);
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S parsed" text)
+    [ ".5"; "1."; "+1"; "1e"; "-" ]
+
+let test_json_error_text () =
+  List.iter
+    (fun (text, msg) ->
+      match Json.parse text with
+      | Error e -> Alcotest.(check string) text msg e
+      | Ok _ -> Alcotest.failf "%S parsed" text)
+    [
+      ("[1,", "json parse error at offset 3: unexpected end of input");
+      ({|{"a" 1}|}, "json parse error at offset 5: expected ':', found '1'");
+      ("1 x", "json parse error at offset 2: trailing garbage");
+      ("1.", "json parse error at offset 2: invalid number (expected a digit after '.')");
+    ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 
@@ -238,4 +327,13 @@ let () =
           Alcotest.test_case "positions" `Quick test_scanner_positions;
           Alcotest.test_case "try_string" `Quick test_scanner_try_string;
         ] );
+      ( "json",
+        [
+          Alcotest.test_case "non-finite floats render as null" `Quick test_json_non_finite;
+          Alcotest.test_case "float rendering" `Quick test_json_float_repr;
+          Alcotest.test_case "string escapes" `Quick test_json_escapes;
+          Alcotest.test_case "number grammar" `Quick test_json_numbers;
+          Alcotest.test_case "error text" `Quick test_json_error_text;
+        ]
+        @ qsuite [ prop_json_roundtrip ] );
     ]
