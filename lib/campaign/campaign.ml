@@ -503,6 +503,39 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
   in
   (Finished outcome, shrunk, faults, extra)
 
+(* A native trial's program: the same random pipeline + machine code draw
+   as RMT, continuing the trial PRNG [prng]. *)
+let native_program ~prng ~depth ~width ~bits ~stateful_name ~stateless_name =
+  let desc =
+    Dgen.generate
+      (Dgen.config ~depth ~width ~bits ())
+      ~stateful:(Atoms.find_exn stateful_name) ~stateless:(Atoms.find_exn stateless_name)
+  in
+  (desc, Fuzz.random_mc prng desc)
+
+(* The valid native programs of the block [lo, hi), at
+   {!Oracle.native_level}: what a native trial hands
+   {!Druzhba_dsim.Native_substrate.create} as [build_with], so one ocamlopt
+   exec builds the whole block.  Each is re-derived from its trial's seed
+   exactly as the trial body draws it; a trial whose machine code is invalid
+   or whose generation raises builds nothing and is skipped. *)
+let block_native_programs ~(cfg : config) (lo, hi) () =
+  List.filter_map
+    (fun index ->
+      match trial_params (family_of ~cfg index) (Prng.derive cfg.c_master_seed index) with
+      | prng, Native_params { depth; width; bits; stateful; stateless } -> (
+        try
+          let desc, mc =
+            native_program ~prng ~depth ~width ~bits ~stateful_name:stateful
+              ~stateless_name:stateless
+          in
+          match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
+          | Ok () -> Some (Optimizer.apply ~level:Oracle.native_level ~mc desc, mc)
+          | Error _ -> None
+        with _ -> None)
+      | _ -> None)
+    (List.init (hi - lo) (fun k -> lo + k))
+
 (* The native trial body: the same random pipeline + machine code draw as
    RMT, but the oracle is the three-configuration native-codegen check —
    interpreter reference, closures at scc+inline, and the Dynlinked module
@@ -516,23 +549,17 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
    Fault mode pairs the native artifact against the interpreter — the two
    most unlike substrates in the repo — under the shared stuck/flip/drop
    overlay protocol. *)
-let run_native_trial ~(cfg : config) ~seed ~prng ~depth ~width ~bits ~stateful_name
+let run_native_trial ~(cfg : config) ~seed ~prng ?build_with ~depth ~width ~bits ~stateful_name
     ~stateless_name () =
-  let desc =
-    Dgen.generate
-      (Dgen.config ~depth ~width ~bits ())
-      ~stateful:(Atoms.find_exn stateful_name) ~stateless:(Atoms.find_exn stateless_name)
-  in
-  let mc = Fuzz.random_mc prng desc in
+  let desc, mc = native_program ~prng ~depth ~width ~bits ~stateful_name ~stateless_name in
   let traffic_seed = Prng.bits prng 30 in
   let inputs = Traffic.phvs (Traffic.create ~seed:traffic_seed ~width ~bits) cfg.c_phvs in
   let budget = Option.map Budget.ticks cfg.c_fuel in
-  let check mc =
-    match Oracle.check_native ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs () with
+  let outcome =
+    match Oracle.check_native ?budget ~batch:cfg.c_batch ?build_with ~desc ~mc ~inputs () with
     | Ok outcome -> outcome
     | Error _unavailable -> Oracle.check_native_fallback ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs ()
   in
-  let outcome = check mc in
   let shrunk =
     match outcome with
     | Oracle.Divergence _ when cfg.c_shrink ->
@@ -701,7 +728,7 @@ let pick_mutation prng family (snapshot : Corpus.entry array) =
             `Drmt_entries entries' ))
   end
 
-let run_trial ?(snapshot = [||]) ~(cfg : config) index : trial * trial_extra option =
+let run_trial ?(snapshot = [||]) ?block ~(cfg : config) index : trial * trial_extra option =
   (* backtrace recording is per-domain in OCaml 5, so arm it here (on
      whichever worker runs the trial) rather than once in [run] *)
   Printexc.record_backtrace true;
@@ -743,7 +770,8 @@ let run_trial ?(snapshot = [||]) ~(cfg : config) index : trial * trial_extra opt
       run_drmt_trial ~cfg ~seed ~prng ~index ?entries_override ~tables ~processors
         ~n_entries:entries ()
     | Native_params { depth; width; bits; stateful; stateless } ->
-      run_native_trial ~cfg ~seed ~prng ~depth ~width ~bits ~stateful_name:stateful
+      let build_with = Option.map (block_native_programs ~cfg) block in
+      run_native_trial ~cfg ~seed ~prng ?build_with ~depth ~width ~bits ~stateful_name:stateful
         ~stateless_name:stateless ()
   with
   | result -> finish result
@@ -1214,7 +1242,7 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
     let snap = !snapshot in
     let chunk =
       Runner.parallel_init ~jobs:cfg.c_jobs (hi - base) (fun k ->
-          run_trial ~snapshot:snap ~cfg (base + k))
+          run_trial ~snapshot:snap ~block:(base, hi) ~cfg (base + k))
     in
     Array.iteri (fun k (t, _) -> results.(base + k) <- Some t) chunk;
     if cfg.c_coverage then begin

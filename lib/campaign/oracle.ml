@@ -247,11 +247,13 @@ let check_drmt ?budget ?batch ?cfg ~entries ~(p : Druzhba_drmt.P4.t) ~inputs () 
 let native_level = Optimizer.Scc_inline
 
 (* [Error reason] means the native toolchain is unavailable or the
-   out-of-process compile failed; nothing was run. *)
-let native_substrates ?(init = []) ~(desc : Ir.t) ~mc () :
+   out-of-process compile failed; nothing was run.  [build_with] is
+   {!Native_substrate.create}'s: programs, already at {!native_level}, to
+   build together with this one. *)
+let native_substrates ?(init = []) ?build_with ~(desc : Ir.t) ~mc () :
     (Substrate.packed list, string) result =
   let optimized = Optimizer.apply ~level:native_level ~mc desc in
-  match Native_substrate.create ~label:"native@scc-inline" ~init optimized ~mc with
+  match Native_substrate.create ~label:"native@scc-inline" ~init ?build_with optimized ~mc with
   | Error e -> Error e
   | Ok native ->
     Ok
@@ -278,12 +280,12 @@ let native_fallback_substrates ?(init = []) ~(desc : Ir.t) ~mc () : Substrate.pa
    [Invalid_mc], never as a native build failure), then runs the
    three-configuration native differential check.  [Error reason] only when
    the toolchain is unavailable. *)
-let check_native ?(init = []) ?budget ?batch ~(desc : Ir.t) ~mc ~inputs () :
+let check_native ?(init = []) ?budget ?batch ?build_with ~(desc : Ir.t) ~mc ~inputs () :
     (outcome, string) result =
   match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
   | Error violations -> Ok (Invalid_mc violations)
   | Ok () -> (
-    match native_substrates ~init ~desc ~mc () with
+    match native_substrates ~init ?build_with ~desc ~mc () with
     | Error e -> Error e
     | Ok substrates -> Ok (diff_substrates ?budget ?batch ~substrates ~inputs ()))
 

@@ -1,20 +1,22 @@
 (* The registration ABI between the host and Dynlinked native pipeline
    modules.
 
-   A module emitted by {!Druzhba_pipeline.Emit.native_source} is compiled
-   out-of-process into a `.cmxs` and loaded with [Dynlink.loadfile_private];
-   its only side effect is one call to {!register} with the plugin record
-   below.  The host ({!Native_substrate}) performs the load under a global
-   mutex and immediately {!take}s the slot, so concurrent domains never
-   observe each other's registrations.
+   A module emitted by {!Druzhba_pipeline.Emit.native_source} ends in one
+   [plugin] value of the record below; it is not a compilation unit on its
+   own.  {!Native_substrate} wraps one or more emitted modules into a unit
+   whose only side effect is one call to {!register} with every
+   (content key, plugin) pair it holds, compiles that unit out-of-process
+   into a `.cmxs`, and loads it with [Dynlink.loadfile_private].  The host
+   performs the load under a global mutex and immediately {!take}s the
+   slot, so concurrent domains never observe each other's registrations.
 
    The record is deliberately first-order — int arrays, Bigarray lanes, and
    plain functions — so the only thing the plugin and the host must agree on
-   is this one module's cmi.  Bump {!version} whenever the record layout
-   changes: it is folded into the build-cache content address, so stale
-   `.cmxs` artifacts from an older ABI are never loaded. *)
+   is this one module's cmi.  Bump {!version} whenever the record layout or
+   the registration call changes: it is folded into the build-cache content
+   address, so stale `.cmxs` artifacts from an older ABI are never loaded. *)
 
-let version = 1
+let version = 2
 
 type lane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -39,10 +41,10 @@ type plugin = {
          the {!Batch.ops} [bo_exec] contract *)
 }
 
-let slot : plugin option ref = ref None
-let register p = slot := Some p
+let slot : (string * plugin) list ref = ref []
+let register plugins = slot := plugins
 
 let take () =
-  let p = !slot in
-  slot := None;
-  p
+  let plugins = !slot in
+  slot := [];
+  plugins

@@ -11,12 +11,15 @@
    Layers:
    - {b emission}: {!Druzhba_pipeline.Emit.native_source} renders the IR as
      a self-contained module (machine code baked in, no hashtables or
-     closures on the tick path) that registers itself through {!Native_abi}.
-   - {b build cache}: compiled `.cmxs` artifacts are content-addressed by a
-     digest of (emitted source, compiler version, ABI version) in an
-     on-disk cache shared by concurrent processes — publication reuses the
-     checkpoint writer's atomic tmp + fsync + rename discipline, so forked
-     service workers racing on one program never observe torn artifacts.
+     closures on the tick path) ending in one {!Native_abi} plugin value.
+   - {b build cache}: each program is content-addressed by a digest of
+     (emitted source, compiler version, ABI version).  A `.cmxs` artifact
+     is one compilation unit holding either one program (a lone artifact)
+     or a whole campaign block's programs (a pack, one ocamlopt exec for
+     all of them), and registers every program it holds.  The on-disk cache
+     is shared by concurrent processes — publication reuses the checkpoint
+     writer's atomic tmp + fsync + rename discipline, so forked service
+     workers racing on one program never observe torn artifacts.
    - {b degradation}: every entry point returns [Error reason] instead of
      raising when the toolchain is unavailable (no ocamlfind, bytecode
      host, no cmi directory, or [DRUZHBA_NATIVE_DISABLE] set); callers fall
@@ -126,22 +129,49 @@ let rec mkdir_p dir =
 (* The content address covers everything the artifact depends on: the
    emitted source (itself a pure function of description + machine code),
    the compiler that built it, and the host ABI the module registers
-   through.  Equal key => interchangeable `.cmxs`. *)
+   through.  Equal key => interchangeable plugin. *)
 let content_key source =
   Digest.to_hex
     (Digest.string
        (Printf.sprintf "druzhba-native|abi=%d|%s|%s" Native_abi.version Sys.ocaml_version source))
 
-let module_name key = "druzhba_native_" ^ key
+(* Every artifact is one compilation unit that registers all the plugins it
+   holds in one {!Native_abi.register} call.  A lone artifact holds one
+   emitted module at the top level and is named by that module's content
+   key.  A pack holds up to {!max_pack} emitted modules, member [i] wrapped
+   as [module P<i> = struct ... end], and is named by a digest of its
+   sorted member keys — one ocamlopt exec then builds a whole campaign
+   block instead of one exec per program. *)
+let lone_name key = "druzhba_native_" ^ key
 
-(* Where the build cache holds (or would hold) the artifact for this
-   (description, machine code) under the current environment.  Exposed so
-   tests and operators can inspect, pre-seed, or evict cache entries; note
-   that within one process a path that has already been Dynlinked is served
-   from the loader's handle cache, so editing it has no effect until a
-   fresh process reads it. *)
-let artifact_path (desc : Ir.t) ~mc =
-  Filename.concat (cache_dir ()) (module_name (content_key (Emit.native_source desc ~mc)) ^ ".cmxs")
+let pack_name keys =
+  "druzhba_native_pack_" ^ Digest.to_hex (Digest.string (String.concat "," (List.sort compare keys)))
+
+let max_pack = 64
+
+let register_call entries =
+  Printf.sprintf "let () = Druzhba_dsim.Native_abi.register [ %s ]\n"
+    (String.concat "; " (List.map (fun (key, value) -> Printf.sprintf "(%S, %s)" key value) entries))
+
+let lone_unit ~key source = source ^ "\n" ^ register_call [ (key, "plugin") ]
+
+let pack_unit members =
+  let buf = Buffer.create 65536 in
+  List.iteri (fun i (_, source) -> Printf.bprintf buf "module P%d = struct\n%s\nend\n\n" i source) members;
+  Buffer.add_string buf
+    (register_call (List.mapi (fun i (key, _) -> (key, Printf.sprintf "P%d.plugin" i)) members));
+  Buffer.contents buf
+
+let cmxs_path name = Filename.concat (cache_dir ()) (name ^ ".cmxs")
+
+(* Where the build cache holds (or would hold) the lone artifact for this
+   (description, machine code) under the current environment; a program
+   built inside a pack has no artifact of its own.  Exposed so tests and
+   operators can inspect, pre-seed, or evict cache entries; note that
+   within one process a path that has already been Dynlinked is served from
+   the loader's handle cache, so editing it has no effect until a fresh
+   process reads it. *)
+let artifact_path (desc : Ir.t) ~mc = cmxs_path (lone_name (content_key (Emit.native_source desc ~mc)))
 
 let remove_tree dir =
   match Sys.readdir dir with
@@ -180,33 +210,36 @@ let run_command argv ~stderr_file : (unit, string) result =
   | Unix.WSIGNALED n | Unix.WSTOPPED n ->
     Error (Printf.sprintf "signal %d: %s" n (read_file_tail stderr_file))
 
-(* Build-cache instrumentation, read by tests and the bench report. *)
-type stats = { st_compiles : int; st_cache_hits : int; st_memo_hits : int }
+(* Build-cache instrumentation, read by tests and the bench report.
+   [st_compiles] counts published artifacts, so it always equals the
+   `.cmxs` files a fresh cache directory gains; [st_failed] counts
+   ocamlopt execs that published nothing. *)
+type stats = { st_compiles : int; st_cache_hits : int; st_memo_hits : int; st_failed : int }
 
 let n_compiles = ref 0
 let n_cache_hits = ref 0
 let n_memo_hits = ref 0
+let n_failed = ref 0
 
-(* Compiles [source] into the cache if no artifact for [key] exists yet;
-   returns the cached `.cmxs` path.  Staging happens in a per-pid build
-   directory (ocamlopt writes its .cmi/.cmx/.o next to the source, and the
-   module name must match the final file name), and publication is an
-   atomic rename — two processes racing on one key each stage privately and
-   the renames serialize. *)
-let compile_cmxs tc ~source ~key : (string, string) result =
+(* Compiles the unit [source] into the cache as [name] if no such artifact
+   exists yet; returns the cached `.cmxs` path.  Staging happens in a
+   per-pid build directory (ocamlopt writes its .cmi/.cmx/.o next to the
+   source, and the module name must match the final file name), and
+   publication is an atomic rename — two processes racing on one name each
+   stage privately and the renames serialize. *)
+let compile_cmxs tc ~name ~source : (string, string) result =
   let cache = cache_dir () in
   mkdir_p cache;
-  let dest = Filename.concat cache (module_name key ^ ".cmxs") in
+  let dest = cmxs_path name in
   if Sys.file_exists dest then begin
     incr n_cache_hits;
     Ok dest
   end
   else begin
-    incr n_compiles;
-    let build = Filename.concat cache (Printf.sprintf "build.%d.%s" (Unix.getpid ()) key) in
+    let build = Filename.concat cache (Printf.sprintf "build.%d.%s" (Unix.getpid ()) name) in
     mkdir_p build;
-    let ml = Filename.concat build (module_name key ^ ".ml") in
-    let cmxs = Filename.concat build (module_name key ^ ".cmxs") in
+    let ml = Filename.concat build (name ^ ".ml") in
+    let cmxs = Filename.concat build (name ^ ".cmxs") in
     let errf = Filename.concat build "stderr" in
     Out_channel.with_open_bin ml (fun oc -> Out_channel.output_string oc source);
     let argv =
@@ -225,35 +258,131 @@ let compile_cmxs tc ~source ~key : (string, string) result =
         end
     in
     remove_tree build;
+    incr (if Result.is_ok result then n_compiles else n_failed);
     result
   end
 
-let load_cmxs path : (Native_abi.plugin, string) result =
+let load_cmxs path : ((string * Native_abi.plugin) list, string) result =
   match Dynlink.loadfile_private path with
   | exception Dynlink.Error e -> Error (Dynlink.error_message e)
   | exception e -> Error (Printexc.to_string e)
   | () -> (
     match Native_abi.take () with
-    | Some p -> Ok p
-    | None -> Error "loaded module did not register a plugin")
+    | [] -> Error "loaded module did not register a plugin"
+    | plugins -> Ok plugins)
 
 (* Dynlink is not safe for concurrent use and the campaign runner shards
    trials across domains, so every load (and in-process compile) runs under
    one global mutex.  Loaded plugins are memoized per content key: the
    emitted code is pure over caller-provided arrays, so one plugin instance
-   serves any number of substrate values concurrently. *)
+   serves any number of substrate values concurrently.  [no_pack] holds the
+   keys of every member of a pack that failed to build or load; those are
+   only ever built alone, so one bad program costs one failed pack exec, not
+   one per trial of its block. *)
 let lock = Mutex.create ()
 let memo : (string, Native_abi.plugin) Hashtbl.t = Hashtbl.create 16
+let no_pack : (string, unit) Hashtbl.t = Hashtbl.create 16
 
 let stats () =
   Mutex.protect lock (fun () ->
-      { st_compiles = !n_compiles; st_cache_hits = !n_cache_hits; st_memo_hits = !n_memo_hits })
+      {
+        st_compiles = !n_compiles;
+        st_cache_hits = !n_cache_hits;
+        st_memo_hits = !n_memo_hits;
+        st_failed = !n_failed;
+      })
 
 (* Drops the in-process plugin memo (the on-disk cache is untouched); test
    hook for exercising cache hit and corrupted-artifact paths. *)
-let clear_memo () = Mutex.protect lock (fun () -> Hashtbl.reset memo)
+let clear_memo () =
+  Mutex.protect lock (fun () ->
+      Hashtbl.reset memo;
+      Hashtbl.reset no_pack)
 
-let plugin_for (desc : Ir.t) ~mc : (Native_abi.plugin, string) result =
+let fits (desc : Ir.t) (p : Native_abi.plugin) =
+  p.Native_abi.np_depth = desc.Ir.d_depth && p.Native_abi.np_width = desc.Ir.d_width
+
+(* The lone build, under [lock]. *)
+let build_lone tc (desc : Ir.t) ~key ~source : (Native_abi.plugin, string) result =
+  let name = lone_name key and source = lone_unit ~key source in
+  let load path =
+    Result.bind (load_cmxs path) (fun plugins ->
+        Option.to_result ~none:"loaded module did not register this program"
+          (List.assoc_opt key plugins))
+  in
+  let result =
+    match compile_cmxs tc ~name ~source with
+    | Error e -> Error e
+    | Ok path -> (
+      match load path with
+      | Ok p -> Ok p
+      | Error first -> (
+        (* a corrupted cached artifact (torn write from a killed process,
+           stale compiler) is evicted and rebuilt once *)
+        (try Sys.remove path with Sys_error _ -> ());
+        match compile_cmxs tc ~name ~source with
+        | Error e -> Error (Printf.sprintf "%s (after evicting corrupt cache: %s)" e first)
+        | Ok path -> load path))
+  in
+  match result with
+  | Ok p when not (fits desc p) -> Error "loaded plugin geometry does not match the description"
+  | Ok p ->
+    Hashtbl.replace memo key p;
+    Ok p
+  | Error _ -> result
+
+(* The pack members for a requester: itself first, then [build_with]'s
+   programs that are not memoized yet, deduplicated by key, at most
+   {!max_pack}.  A program the emitter rejects is skipped. *)
+let pack_members ~requester build_with =
+  let seen = Hashtbl.create max_pack in
+  let rec gather n acc = function
+    | [] -> List.rev acc
+    | _ when n >= max_pack -> List.rev acc
+    | (desc, mc) :: rest -> (
+      match Emit.native_source desc ~mc with
+      | exception Invalid_argument _ -> gather n acc rest
+      | source ->
+        let key = content_key source in
+        if Hashtbl.mem seen key || Hashtbl.mem memo key || Hashtbl.mem no_pack key then
+          gather n acc rest
+        else begin
+          Hashtbl.replace seen key ();
+          gather (n + 1) ((key, source, desc) :: acc) rest
+        end)
+  in
+  let key, _, _ = requester in
+  Hashtbl.replace seen key ();
+  gather 1 [ requester ] (build_with ())
+
+(* Builds and loads one pack, under [lock], memoizing every member whose
+   geometry matches its description.  A pack that fails to build or load
+   is evicted and its members marked [no_pack]; the caller then builds the
+   requester alone. *)
+let build_pack tc members =
+  let keys = List.map (fun (key, _, _) -> key) members in
+  let source = pack_unit (List.map (fun (key, source, _) -> (key, source)) members) in
+  let loaded =
+    match compile_cmxs tc ~name:(pack_name keys) ~source with
+    | Error e -> Error e
+    | Ok path -> (
+      match load_cmxs path with
+      | Ok plugins -> Ok plugins
+      | Error e ->
+        (try Sys.remove path with Sys_error _ -> ());
+        Error e)
+  in
+  match loaded with
+  | Ok plugins ->
+    List.iter
+      (fun (key, _, desc) ->
+        match List.assoc_opt key plugins with
+        | Some p when fits desc p -> Hashtbl.replace memo key p
+        | _ -> ())
+      members
+  | Error _ -> List.iter (fun key -> Hashtbl.replace no_pack key ()) keys
+
+let plugin_for ?build_with (desc : Ir.t) ~mc : (Native_abi.plugin, string) result =
   match probe () with
   | Error e -> Error e
   | Ok tc ->
@@ -264,30 +393,17 @@ let plugin_for (desc : Ir.t) ~mc : (Native_abi.plugin, string) result =
         | Some p ->
           incr n_memo_hits;
           Ok p
-        | None ->
-          let result =
-            match compile_cmxs tc ~source ~key with
-            | Error e -> Error e
-            | Ok path -> (
-              match load_cmxs path with
-              | Ok p -> Ok p
-              | Error first -> (
-                (* a corrupted cached artifact (torn write from a killed
-                   process, stale compiler) is evicted and rebuilt once *)
-                (try Sys.remove path with Sys_error _ -> ());
-                match compile_cmxs tc ~source ~key with
-                | Error e -> Error (Printf.sprintf "%s (after evicting corrupt cache: %s)" e first)
-                | Ok path -> load_cmxs path))
-          in
-          (match result with
-          | Ok p ->
-            if p.Native_abi.np_depth <> desc.Ir.d_depth || p.Native_abi.np_width <> desc.Ir.d_width
-            then Error "loaded plugin geometry does not match the description"
-            else begin
-              Hashtbl.replace memo key p;
-              Ok p
-            end
-          | Error _ -> result))
+        | None -> (
+          (match build_with with
+          | Some build_with
+            when (not (Hashtbl.mem no_pack key)) && not (Sys.file_exists (cmxs_path (lone_name key))) -> (
+            match pack_members ~requester:(key, source, desc) build_with with
+            | _ :: _ :: _ as members -> build_pack tc members
+            | _ | (exception _) -> ())
+          | _ -> ());
+          match Hashtbl.find_opt memo key with
+          | Some p -> Ok p
+          | None -> build_lone tc desc ~key ~source))
 
 (* --- Runtime driver ---------------------------------------------------------
 
@@ -478,12 +594,20 @@ module Native_sub = struct
         if t.occ land (1 lsl s) <> 0 then Some (Array.sub t.cur (s * t.width) t.width) else None)
 end
 
-(* [create ?label ?init desc ~mc] emits, compiles (or reuses a cached
-   artifact), loads, and packs the native substrate.  [Error reason] means
-   the toolchain is unavailable or the out-of-process compile failed; the
-   caller degrades to the interpreted paths. *)
-let create ?(label = "native") ?(init = []) (desc : Ir.t) ~mc : (Substrate.packed, string) result =
-  match plugin_for desc ~mc with
+(* [create ?label ?init ?build_with desc ~mc] emits, compiles (or reuses a
+   cached artifact), loads, and packs the native substrate.  [Error reason]
+   means the toolchain is unavailable or the out-of-process compile failed;
+   the caller degrades to the interpreted paths.
+
+   [build_with] lists programs likely to be requested next (a campaign
+   passes its block's).  On a memo miss with no lone artifact on disk it is
+   called once, under the lock, and the requester is built together with
+   those programs in one pack, so concurrent requesters wait and then hit
+   the memo.  If it raises, or the pack fails to build or load, the
+   requester is built alone. *)
+let create ?(label = "native") ?(init = []) ?build_with (desc : Ir.t) ~mc :
+    (Substrate.packed, string) result =
+  match plugin_for ?build_with desc ~mc with
   | Error e -> Error e
   | Ok plugin ->
     let depth = desc.Ir.d_depth and width = desc.Ir.d_width in

@@ -115,7 +115,9 @@ let to_string d = Fmt.str "%a" pp d
      {!Compile}/{!Interp} semantics bit-for-bit (latched state reads,
      default-before-body evaluation, stuck-at overlays asserted before each
      lane's snapshot);
-   - registers itself through {!Druzhba_dsim.Native_abi} when loaded.
+   - ends in one [plugin] value of the {!Druzhba_dsim.Native_abi} record.
+     It does not register itself: the native substrate wraps one or more
+     emitted modules into a compilation unit that registers them all.
 
    Determinism: the source depends only on (description, machine code) — no
    timestamps, no hashtable iteration order — so equal inputs produce
@@ -434,8 +436,8 @@ let emit_stage_lanes ctx buf (d : Ir.t) (st : Ir.stage) =
   in
   Printf.bprintf buf "%s\n  done\n\n" (String.concat ";\n" sets)
 
-(* The full module.  Self-contained: Stdlib + Bigarray only, plus the one
-   registration call into the host's {!Druzhba_dsim.Native_abi} slot. *)
+(* The full module.  Self-contained: Stdlib + Bigarray only, plus the
+   host's {!Druzhba_dsim.Native_abi} record type for its final [plugin]. *)
 let native_source (d : Ir.t) ~mc : string =
   let ctx = { n_bits = d.Ir.d_bits; n_mc = mc; n_helpers = d.Ir.d_helpers; n_fresh = 0 } in
   let buf = Buffer.create 4096 in
@@ -473,17 +475,16 @@ let native_source (d : Ir.t) ~mc : string =
   done;
   Printf.bprintf buf "  | _ -> ignore st; ignore inr; ignore outr; ignore k; ignore stuck\n\n";
   Printf.bprintf buf
-    "let () =\n\
-    \  Druzhba_dsim.Native_abi.register\n\
-    \    {\n\
-    \      Druzhba_dsim.Native_abi.np_depth = %d;\n\
-    \      np_width = %d;\n\
-    \      np_state_names = state_names;\n\
-    \      np_stage_bases = stage_bases;\n\
-    \      np_alloc = alloc;\n\
-    \      np_exec_stage = exec_stage;\n\
-    \      np_exec_lanes = exec_lanes;\n\
-    \    }\n"
+    "let plugin =\n\
+    \  {\n\
+    \    Druzhba_dsim.Native_abi.np_depth = %d;\n\
+    \    np_width = %d;\n\
+    \    np_state_names = state_names;\n\
+    \    np_stage_bases = stage_bases;\n\
+    \    np_alloc = alloc;\n\
+    \    np_exec_stage = exec_stage;\n\
+    \    np_exec_lanes = exec_lanes;\n\
+    \  }\n"
     depth width;
   Buffer.contents buf
 

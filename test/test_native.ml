@@ -8,8 +8,10 @@
    batched, under fault overlays, and at the exact tick a budget runs dry.
    The rest covers the machinery around that property: the
    content-addressed build cache (memo hit, disk hit, corrupted-artifact
-   recovery), emitted-source determinism (what makes the cache sound), and
-   graceful degradation when the toolchain is absent.
+   recovery, failed-exec accounting), block packs (one exec per campaign
+   block, same report as lone builds, fallback to a lone build),
+   emitted-source determinism (what makes the cache sound), and graceful
+   degradation when the toolchain is absent.
 
    On a machine without ocamlfind/natdynlink the whole binary degrades to
    a single passing test that prints the probe's reason — the same
@@ -19,6 +21,7 @@ module Druzhba = Druzhba_core.Druzhba
 open Druzhba
 module Emit = Druzhba_pipeline.Emit
 module Oracle = Druzhba_campaign.Oracle
+module Campaign = Druzhba_campaign.Campaign
 
 let stateful_pool = [| "raw"; "sub"; "pred_raw"; "if_else_raw"; "nested_ifs"; "pair" |]
 let stateless_pool = [| "stateless_full"; "stateless_arith"; "stateless_rel"; "stateless_mux" |]
@@ -212,6 +215,134 @@ let test_corrupted_cmxs_recovery () =
       Substrate.run_into packed ~inputs buf;
       Alcotest.(check int) "recovered module simulates" 8 (Trace.Buffer.length buf))
 
+(* A failed ocamlopt exec publishes nothing, so it must not count as a
+   compile: [st_compiles] equals the `.cmxs` files a cache gains, which the
+   benchmark checks.  Garbage cmis make discovery succeed and every exec
+   fail.  A failed pack falls back to a lone build, and its members are
+   built alone from then on rather than retrying the pack. *)
+let test_failed_exec_not_counted () =
+  with_temp_cache_dir (fun dir ->
+      let include_dir = dir ^ "-include" in
+      Unix.mkdir include_dir 0o755;
+      List.iter
+        (fun cmi ->
+          Out_channel.with_open_bin (Filename.concat include_dir cmi) (fun oc ->
+              Out_channel.output_string oc "not a cmi"))
+        [ "druzhba_dsim.cmi"; "druzhba_dsim__Native_abi.cmi" ];
+      let saved = Option.value (Sys.getenv_opt "DRUZHBA_NATIVE_INCLUDE") ~default:"" in
+      Unix.putenv "DRUZHBA_NATIVE_INCLUDE" include_dir;
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.putenv "DRUZHBA_NATIVE_INCLUDE" saved;
+          Array.iter (fun f -> Sys.remove (Filename.concat include_dir f)) (Sys.readdir include_dir);
+          Unix.rmdir include_dir)
+        (fun () ->
+          let failed_execs ?build_with (desc, mc) =
+            let s0 = Native_substrate.stats () in
+            (match Native_substrate.create ?build_with desc ~mc with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail "create must fail against garbage cmis");
+            let s1 = Native_substrate.stats () in
+            Alcotest.(check int) "no compile counted" s0.Native_substrate.st_compiles
+              s1.Native_substrate.st_compiles;
+            s1.Native_substrate.st_failed - s0.Native_substrate.st_failed
+          in
+          Alcotest.(check int) "a lone build: one failed exec" 1 (failed_execs (cache_fixture ()));
+          let programs =
+            List.map (fun seed -> let desc, mc, _, _ = draw_program seed in (desc, mc)) [ 31; 32 ]
+          in
+          let build_with () = programs in
+          Alcotest.(check int) "a failed pack, then the lone build" 2
+            (failed_execs ~build_with (List.hd programs));
+          Alcotest.(check int) "a failed pack's member is built alone" 1
+            (failed_execs ~build_with (List.nth programs 1))))
+
+(* --- Block packs ------------------------------------------------------------- *)
+
+let compiles () = (Native_substrate.stats ()).Native_substrate.st_compiles
+
+let simulates packed ~width ~bits =
+  let inputs = Traffic.phvs (Traffic.create ~seed:5 ~width ~bits) 8 in
+  let buf = Trace.Buffer.create ~width ~capacity:8 in
+  Substrate.run_into packed ~inputs buf;
+  Alcotest.(check int) "the module simulates" 8 (Trace.Buffer.length buf)
+
+let native_campaign ~jobs ~checkpoint_every =
+  Campaign.to_json
+    (Campaign.run
+       (Campaign.config ~trials:40 ~jobs ~substrate:"native" ~phvs:20 ~checkpoint_every ()))
+
+(* A campaign block builds every native program in one ocamlopt exec at any
+   job count, and the report is byte-identical to one-trial blocks, where
+   every program is built alone. *)
+let test_one_exec_per_block () =
+  let lone = with_temp_cache_dir (fun _ -> native_campaign ~jobs:1 ~checkpoint_every:1) in
+  List.iter
+    (fun jobs ->
+      with_temp_cache_dir (fun dir ->
+          let c0 = compiles () in
+          let json = native_campaign ~jobs ~checkpoint_every:64 in
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: one compile" jobs)
+            (c0 + 1) (compiles ());
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: one .cmxs" jobs)
+            1
+            (List.length (find_cmxs dir));
+          Alcotest.(check string) (Printf.sprintf "jobs %d: same report as lone builds" jobs) lone json))
+    [ 1; 2 ]
+
+let test_pack_fallbacks () =
+  let desc, mc, width, bits = draw_program 11 in
+  with_temp_cache_dir (fun dir ->
+      let c0 = compiles () in
+      (match Native_substrate.create ~build_with:(fun () -> failwith "boom") desc ~mc with
+      | Ok packed -> simulates packed ~width ~bits
+      | Error e -> Alcotest.failf "a raising build_with must fall back to a lone build: %s" e);
+      Alcotest.(check int) "one lone compile" (c0 + 1) (compiles ());
+      Alcotest.(check (list string)) "the lone artifact"
+        [ Native_substrate.artifact_path desc ~mc ]
+        (find_cmxs dir));
+  with_temp_cache_dir (fun dir ->
+      ignore (Native_substrate.create ~build_with:(fun () -> [ (desc, mc) ]) desc ~mc);
+      Alcotest.(check (list string)) "a build_with of the requester alone builds it alone"
+        [ Native_substrate.artifact_path desc ~mc ]
+        (find_cmxs dir))
+
+let test_pack_disk_hit () =
+  let programs = List.map (fun seed -> let desc, mc, _, _ = draw_program seed in (desc, mc)) [ 21; 22; 23 ] in
+  let desc, mc = List.hd programs in
+  let build_with () = programs in
+  with_temp_cache_dir (fun dir ->
+      let s0 = Native_substrate.stats () in
+      ignore (Native_substrate.create ~build_with desc ~mc);
+      let s1 = Native_substrate.stats () in
+      Alcotest.(check int) "one compile for the pack"
+        (s0.Native_substrate.st_compiles + 1)
+        s1.Native_substrate.st_compiles;
+      Alcotest.(check bool) "the artifact is a pack" true
+        (match find_cmxs dir with
+         | [ pack ] -> pack <> Native_substrate.artifact_path desc ~mc
+         | _ -> false);
+      List.iter
+        (fun (d, mc) ->
+          match Native_substrate.create d ~mc with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "pack member: %s" e)
+        programs;
+      let s2 = Native_substrate.stats () in
+      Alcotest.(check int) "every member is memoized"
+        (s1.Native_substrate.st_memo_hits + List.length programs)
+        s2.Native_substrate.st_memo_hits;
+      Native_substrate.clear_memo ();
+      ignore (Native_substrate.create ~build_with desc ~mc);
+      let s3 = Native_substrate.stats () in
+      Alcotest.(check int) "after clear_memo: disk hit on the pack"
+        (s2.Native_substrate.st_cache_hits + 1)
+        s3.Native_substrate.st_cache_hits;
+      Alcotest.(check int) "after clear_memo: no compile" s2.Native_substrate.st_compiles
+        s3.Native_substrate.st_compiles)
+
 (* --- Emitted-source determinism ---------------------------------------------- *)
 
 (* Byte-identical source for equal inputs is what makes the
@@ -260,6 +391,13 @@ let available_suites =
       [
         Alcotest.test_case "memo and disk hits" `Quick test_cache_hit_miss;
         Alcotest.test_case "corrupted cmxs recovery" `Quick test_corrupted_cmxs_recovery;
+        Alcotest.test_case "failed exec is not a compile" `Quick test_failed_exec_not_counted;
+      ] );
+    ( "block packs",
+      [
+        Alcotest.test_case "one exec per block, same report" `Quick test_one_exec_per_block;
+        Alcotest.test_case "raising or lone build_with builds alone" `Quick test_pack_fallbacks;
+        Alcotest.test_case "pack disk hit after clear_memo" `Quick test_pack_disk_hit;
       ] );
     ( "emitter",
       [ Alcotest.test_case "source determinism" `Quick test_emitted_source_deterministic ] );
