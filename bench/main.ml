@@ -189,12 +189,13 @@ let run_drmt_bench () =
    (ns/PHV, PHVs/sec, best of three timed runs) and its allocation rate
    (Gc.allocated_bytes per PHV — the engine must keep this at ~0).  Each
    level carries the agreement bits CI gates on: Engine trace = Compiled
-   trace (as in schema /1), batched = sequential for the interpreter's and
-   the native substrate's lane drivers ("batch_agree"), and, where the
-   toolchain is present, the Dynlinked native-codegen substrate's
-   "native_ns_per_phv" (lane driver), "native_seq_ns_per_phv",
-   "native_phvs_per_sec" and "native_agree" (native trace + final state =
-   closure trace on the check workload).  On a machine without the
+   trace (as in schema /1), batched = sequential for the interpreter's lane
+   driver ("batch_agree"), and, where the toolchain is present, the
+   Dynlinked native-codegen substrate's "native_ns_per_phv",
+   "native_seq_ns_per_phv" (both its one sequential tick loop, kept as two
+   keys for schema /4 readers), "native_phvs_per_sec" and
+   "native_agree" (native trace + final state = closure trace on the check
+   workload).  On a machine without the
    ocamlfind/ocamlopt toolchain the native fields are omitted and a
    top-level "native_unavailable" string carries the probe's reason — the
    report is still valid and all other gates still apply.  Additional
@@ -206,8 +207,7 @@ let run_drmt_bench () =
    the speedup tables below use it. *)
 
 type native_sample = {
-  nv_ns_per_phv : float; (* lane driver at the report's batch size *)
-  nv_seq_ns_per_phv : float;
+  nv_ns_per_phv : float; (* the sequential tick loop *)
   nv_phvs_per_sec : float;
   nv_agree : bool; (* native trace + state = closure trace on the check workload *)
 }
@@ -218,7 +218,7 @@ type level_sample = {
   ls_phvs_per_sec : float;
   ls_bytes_per_phv : float;
   ls_agree : bool; (* Engine trace = Compiled trace on the check workload *)
-  ls_batch_agree : bool; (* lane driver = sequential, interpreter and native *)
+  ls_batch_agree : bool; (* interpreter lane driver = sequential *)
   ls_native : native_sample option; (* None when the toolchain is unavailable *)
 }
 
@@ -302,18 +302,13 @@ let measure_program ~phvs ~native (bm : Spec.benchmark) : program_sample =
           if not native then None
           else Result.to_option (Native_substrate.create ~init d ~mc)
         in
-        let ls_batch_agree =
-          batch_agrees (Substrate.of_engine ~init d ~mc) ~inputs:check_inputs
-          && Option.fold ~none:true native_packed ~some:(batch_agrees ~inputs:check_inputs)
-        in
+        let ls_batch_agree = batch_agrees (Substrate.of_engine ~init d ~mc) ~inputs:check_inputs in
         let ls_native =
           match native_packed with
           | None -> None
           | Some packed ->
-            Substrate.run_batch_into packed ~inputs buf;
-            let ndt = best_of_time (fun () -> Substrate.run_batch_into packed ~inputs buf) in
             Substrate.run_into packed ~inputs buf;
-            let ndt_seq = best_of_time (fun () -> Substrate.run_into packed ~inputs buf) in
+            let ndt = best_of_time (fun () -> Substrate.run_into packed ~inputs buf) in
             let nbuf =
               Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:json_check_phvs
             in
@@ -328,7 +323,6 @@ let measure_program ~phvs ~native (bm : Spec.benchmark) : program_sample =
             Some
               {
                 nv_ns_per_phv = ndt *. 1e9 /. n;
-                nv_seq_ns_per_phv = ndt_seq *. 1e9 /. n;
                 nv_phvs_per_sec = (if ndt > 0. then n /. ndt else infinity);
                 nv_agree = Trace.equal native_trace compiled_trace;
               }
@@ -488,7 +482,7 @@ let render_json ~quick ~phvs ~(native_unavailable : string option)
       | Some nv ->
         [
           ("native_ns_per_phv", fixed 1 nv.nv_ns_per_phv);
-          ("native_seq_ns_per_phv", fixed 1 nv.nv_seq_ns_per_phv);
+          ("native_seq_ns_per_phv", fixed 1 nv.nv_ns_per_phv);
           ("native_phvs_per_sec", fixed 0 nv.nv_phvs_per_sec);
           ("native_agree", Bool nv.nv_agree);
         ]
@@ -598,7 +592,7 @@ let print_speedups ~path ~baseline_path =
     let over = List.length (List.filter (fun (_, _, s) -> s >= 5.0) rows) in
     Printf.printf "  %d/%d rows at >= 5x\n" over (List.length rows)
 
-(* The PR 10 perf gate: the native substrate's batched cost against the
+(* The native perf gate: the native substrate's tick cost against the
    committed PR 8 report's *sequential* scc+inline cost (the closure tick
    loop the emitted code replaces).  Reported per program; the headline
    claim is >= 5x on >= 9 of the 12 Table-1 rows. *)
@@ -625,7 +619,7 @@ let print_native_speedups ~path ~baseline_path =
                  | None -> None)
                | _ -> None)
       in
-      Printf.printf "\nnative (batched) vs %s sequential scc+inline:\n" baseline_path;
+      Printf.printf "\nnative vs %s sequential scc+inline:\n" baseline_path;
       List.iter
         (fun (program, s) ->
           Printf.printf "  %-18s %6.1fx%s\n" program s (if s >= 5.0 then "" else "   (< 5x)"))

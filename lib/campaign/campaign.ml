@@ -9,21 +9,24 @@
 
    - {b RMT}: draw a random small pipeline (dimensions and ALU atoms from
      the trial seed), draw random well-formed machine code for it, and run
-     the cross-backend oracle ({!Oracle.check}): interpreter vs
-     closure-compiled execution at all three optimization levels.
+     the cross-backend oracle ({!Oracle.check}) over a configuration list:
+     interpreter vs closure-compiled execution at all three optimization
+     levels, or — the native family, the same workload — interpreter vs
+     closures vs the Dynlinked module emitted from the same description.
    - {b dRMT}: draw a random table-chain P4 program, random table entries
      and a random processor count, and judge the event-driven dRMT model
      against the sequential P4 reference semantics
-     ({!Oracle.diff_substrates} over {!Oracle.drmt_substrates}).  Generated
-     register updates are commutative and never feed back into matches or
-     field writes, so full trace+state equality is a sound oracle even
-     when packets overlap in the event-driven schedule.
+     ({!Oracle.diff_substrates}).  Generated register updates are
+     commutative and never feed back into matches or field writes, so full
+     trace+state equality is a sound oracle even when packets overlap in
+     the event-driven schedule.
 
-   [substrate] selects the family: [`Rmt], [`Drmt], or [`All] (trials
+   [substrate] names an entry of {!registry}: "rmt", "drmt", "all" (trials
    alternate by index, so a fixed master seed exercises both sides
-   deterministically).  Any divergence is minimized by {!Shrink} before it
-   is reported, so the report carries the smallest PHV trace (and, for RMT,
-   the essential machine-code pairs) that reproduces the bug.
+   deterministically) or "native".  Any divergence is minimized by
+   {!Shrink} before it is reported, so the report carries the smallest PHV
+   trace (and, for RMT, the essential machine-code pairs) that reproduces
+   the bug.
 
    Robustness layer (this file's second job): a campaign must *finish* even
    when individual trials misbehave.
@@ -51,14 +54,10 @@ module Prng = Druzhba_util.Prng
 module Machine_code = Druzhba_machine_code.Machine_code
 module Ir = Druzhba_pipeline.Ir
 module Dgen = Druzhba_pipeline.Dgen
-module Compile = Druzhba_pipeline.Compile
 module Optimizer = Druzhba_optimizer.Optimizer
 module Atoms = Druzhba_atoms.Atoms
 module Traffic = Druzhba_dsim.Traffic
-module Phv = Druzhba_dsim.Phv
 module Trace = Druzhba_dsim.Trace
-module Engine = Druzhba_dsim.Engine
-module Compiled = Druzhba_dsim.Compiled
 module Budget = Druzhba_dsim.Budget
 module Faults = Druzhba_dsim.Faults
 module Substrate = Druzhba_dsim.Substrate
@@ -90,8 +89,12 @@ let registry : (string * family list) list =
 let substrate_names = List.map fst registry
 let families_of_name name = List.assoc_opt name registry
 
-(* Number of configurations each family's oracle compares. *)
-let family_configs = function Rmt -> 6 | Drmt -> 2 | Native -> 3
+(* Number of configurations each family's oracle compares (the native
+   fallback list is as long as the native one). *)
+let family_configs = function
+  | Rmt -> List.length Oracle.rmt_configs
+  | Drmt -> 2
+  | Native -> List.length Oracle.native_configs
 
 type fault_config = {
   fc_runs : int; (* fault scenarios per agreeing trial *)
@@ -147,6 +150,14 @@ let config ?(trials = 100) ?(jobs = 1) ?(master_seed = 0xD52ba) ?(substrate = "r
   if checkpoint_every <= 0 then invalid_arg "Campaign.config: checkpoint_every must be positive";
   if corpus_dir <> None && not coverage then
     invalid_arg "Campaign.config: corpus_dir requires coverage mode";
+  (* the corpus stores no native material and the planted pass never
+     reaches the emitted module, so either mode would be a silent no-op on
+     native trials *)
+  if List.mem Native (Option.get (families_of_name substrate)) then begin
+    if coverage then invalid_arg "Campaign.config: coverage mode does not support native trials";
+    if sabotage_pass then
+      invalid_arg "Campaign.config: sabotage-pass mode does not support native trials"
+  end;
   { c_trials = trials; c_jobs = jobs; c_master_seed = master_seed; c_substrate = substrate;
     c_phvs = phvs; c_batch = Substrate.default_batch; c_shrink = shrink;
     c_max_probes = max_probes; c_fuel = fuel; c_max_failures = max_failures; c_faults = faults;
@@ -178,19 +189,18 @@ type outcome =
   | Crashed of { cr_exn : string; cr_backtrace : string }
   | Timed_out of { to_fuel : int (* the budget that was exhausted *) }
 
-(* The drawn shape of one trial, per family.  Both variants are fully
+(* The drawn shape of an RMT-workload program: pipeline dimensions and the
+   two ALU atoms. *)
+type rmt_shape = { depth : int; width : int; bits : int; stateful : string; stateless : string }
+
+(* The drawn shape of one trial, per family.  Every variant is fully
    determined by the trial seed, so a checkpoint only needs the seed to
-   reconstruct them. *)
+   reconstruct it.  Native trials draw the RMT shape; only the backends
+   their oracle runs differ. *)
 type params =
-  | Rmt_params of { depth : int; width : int; bits : int; stateful : string; stateless : string }
+  | Rmt_params of rmt_shape
   | Drmt_params of { tables : int; processors : int; entries : int }
-  | Native_params of {
-      depth : int;
-      width : int;
-      bits : int;
-      stateful : string;
-      stateless : string;
-    } (* same draw shape as RMT; the trial runs the native-codegen oracle *)
+  | Native_params of rmt_shape
 
 type trial = {
   t_index : int;
@@ -257,13 +267,14 @@ let trial_failed (t : trial) =
    draws from the same PRNG). *)
 let draw_params family prng =
   match family with
-  | Rmt ->
+  | Rmt | Native ->
     let depth = 1 + Prng.int prng 2 in
     let width = 1 + Prng.int prng 2 in
     let bits = [| 8; 16; 32 |].(Prng.int prng 3) in
     let stateful = stateful_pool.(Prng.int prng (Array.length stateful_pool)) in
     let stateless = stateless_pool.(Prng.int prng (Array.length stateless_pool)) in
-    Rmt_params { depth; width; bits; stateful; stateless }
+    let shape = { depth; width; bits; stateful; stateless } in
+    if family = Rmt then Rmt_params shape else Native_params shape
   | Drmt ->
     (* feasible by construction: tables <= 4 and the default per-processor
        crossbar capacities admit 4 matches/actions even at 1 processor *)
@@ -271,15 +282,6 @@ let draw_params family prng =
     let processors = 1 + Prng.int prng 4 in
     let entries = Prng.int prng (4 * tables) in
     Drmt_params { tables; processors; entries }
-  | Native ->
-    (* identical draw sequence to RMT, so the same seed exercises the same
-       program shape on either selector *)
-    let depth = 1 + Prng.int prng 2 in
-    let width = 1 + Prng.int prng 2 in
-    let bits = [| 8; 16; 32 |].(Prng.int prng 3) in
-    let stateful = stateful_pool.(Prng.int prng (Array.length stateful_pool)) in
-    let stateless = stateless_pool.(Prng.int prng (Array.length stateless_pool)) in
-    Native_params { depth; width; bits; stateful; stateless }
 
 (* Trial parameters are the first draws from the trial PRNG — kept as a
    separate function because checkpoint resume re-derives them for trials
@@ -377,7 +379,7 @@ let backtrace_text () =
    scenario's plan — substrate-family-specific geometry lives in the
    caller.  Scenario seeds derive from the trial seed, so fault mode is as
    reproducible as the trial itself. *)
-let run_faults ?budget ?batch ~(fc : fault_config)
+let run_faults ?budget ~(fc : fault_config)
     ~(pair : Substrate.packed * Substrate.packed) ~(gen_plan : int -> Faults.t) ~inputs () :
     fault_stats =
   (* every sub-run gets a full tank: the watchdog bounds each simulation,
@@ -389,16 +391,16 @@ let run_faults ?budget ?batch ~(fc : fault_config)
   let a_buf = Trace.Buffer.create ~width:(Substrate.width sub_a) ~capacity in
   let b_buf = Trace.Buffer.create ~width:(Substrate.width sub_b) ~capacity in
   refill ();
-  Substrate.run_batch_into ?budget ?batch sub_a ~inputs ref_buf;
+  Substrate.run_batch_into ?budget sub_a ~inputs ref_buf;
   let ref_state = Substrate.current_state sub_a in
   let sensitive = ref 0 and mismatch = ref 0 in
   for k = 1 to fc.fc_runs do
     let plan = gen_plan k in
     refill ();
-    Substrate.run_batch_into ?budget ?batch ~faults:plan sub_a ~inputs a_buf;
+    Substrate.run_batch_into ?budget ~faults:plan sub_a ~inputs a_buf;
     let a_state = Substrate.current_state sub_a in
     refill ();
-    Substrate.run_batch_into ?budget ?batch ~faults:plan sub_b ~inputs b_buf;
+    Substrate.run_batch_into ?budget ~faults:plan sub_b ~inputs b_buf;
     let b_state = Substrate.current_state sub_b in
     (* the two substrates must agree *under* the same faults... *)
     if Oracle.diff_runs ~ref_buf:a_buf ~ref_state:a_state ~act_buf:b_buf ~act_state:b_state <> None
@@ -409,14 +411,14 @@ let run_faults ?budget ?batch ~(fc : fault_config)
   done;
   (* fault-free replay on the same substrates: the overlay must leave no residue *)
   refill ();
-  Substrate.run_batch_into ?budget ?batch sub_a ~inputs a_buf;
+  Substrate.run_batch_into ?budget sub_a ~inputs a_buf;
   let replay_a =
     Oracle.diff_runs ~ref_buf ~ref_state ~act_buf:a_buf
       ~act_state:(Substrate.current_state sub_a)
     = None
   in
   refill ();
-  Substrate.run_batch_into ?budget ?batch sub_b ~inputs b_buf;
+  Substrate.run_batch_into ?budget sub_b ~inputs b_buf;
   let replay_b =
     Oracle.diff_runs ~ref_buf ~ref_state ~act_buf:b_buf
       ~act_state:(Substrate.current_state sub_b)
@@ -429,30 +431,56 @@ let run_faults ?budget ?batch ~(fc : fault_config)
     fs_replay_ok = replay_a && replay_b;
   }
 
-(* The RMT trial body: random pipeline + machine code, six-configuration
-   oracle, machine-code-aware shrinking, per-stage fault geometry.
+(* The backends an RMT-workload trial runs: the oracle's configuration
+   list, and the candidate fault mode stresses against its reference.  A
+   campaign chooses them once per family. *)
+type backends = { b_configs : Oracle.configuration list; b_faulted : Oracle.configuration }
+
+let rmt_backends = { b_configs = Oracle.rmt_configs; b_faulted = Oracle.closures_unoptimized }
+
+(* Fault mode pairs the emitted module (or its stand-in) with the
+   interpreter: the two most unlike substrates in the repo.  [available] is
+   {!Druzhba_dsim.Native_substrate.available}'s answer. *)
+let native_backends available =
+  match available with
+  | Ok () -> { b_configs = Oracle.native_configs; b_faulted = Oracle.native }
+  | Error _ -> { b_configs = Oracle.native_fallback_configs; b_faulted = Oracle.native_fallback }
+
+(* A trial's program: the description dgen generates for [shape], and its
+   machine code — [mc_override], or a random draw continuing [prng]. *)
+let rmt_program ~prng ?mc_override (shape : rmt_shape) =
+  let desc =
+    Dgen.generate
+      (Dgen.config ~depth:shape.depth ~width:shape.width ~bits:shape.bits ())
+      ~stateful:(Atoms.find_exn shape.stateful) ~stateless:(Atoms.find_exn shape.stateless)
+  in
+  (desc, match mc_override with Some mc -> mc | None -> Fuzz.random_mc prng desc)
+
+(* The RMT-workload trial body: random pipeline + machine code, the
+   differential oracle over [backends.b_configs], machine-code-aware
+   shrinking, per-stage fault geometry.
 
    [mc_override] (coverage mode) supplies a corpus mutant instead of a
    fresh random draw.  Under [c_sabotage_pass] the oracle runs with
    {!Sabotage.transform} planted on the post-optimizer candidates —
    rebuilt per shrink probe so the trigger tracks the neutralized code.
    In coverage mode the trial also replays its inputs on an instrumented
-   reference engine and returns the structural coverage reached. *)
-let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~stateful_name
-    ~stateless_name () =
-  let desc =
-    Dgen.generate
-      (Dgen.config ~depth ~width ~bits ())
-      ~stateful:(Atoms.find_exn stateful_name) ~stateless:(Atoms.find_exn stateless_name)
-  in
-  let mc = match mc_override with Some mc -> mc | None -> Fuzz.random_mc prng desc in
+   reference engine and returns the structural coverage reached.
+   [build_with] is threaded to the native configurations' builds. *)
+let run_rmt_trial ~(cfg : config) ~backends ?build_with ~seed ~prng ?mc_override
+    (shape : rmt_shape) () =
+  let desc, mc = rmt_program ~prng ?mc_override shape in
   let traffic_seed = Prng.bits prng 30 in
-  let inputs = Traffic.phvs (Traffic.create ~seed:traffic_seed ~width ~bits) cfg.c_phvs in
+  let inputs =
+    Traffic.phvs (Traffic.create ~seed:traffic_seed ~width:shape.width ~bits:shape.bits) cfg.c_phvs
+  in
   let budget = Option.map Budget.ticks cfg.c_fuel in
   let transform_for mc = if cfg.c_sabotage_pass then Some (Sabotage.transform ~mc) else None in
-  let outcome =
-    Oracle.check ?budget ~batch:cfg.c_batch ?transform:(transform_for mc) ~desc ~mc ~inputs ()
+  let check ?build_with ~inputs mc =
+    Oracle.check ?budget ?transform:(transform_for mc) ?build_with ~configs:backends.b_configs
+      ~desc ~mc ~inputs ()
   in
+  let outcome = check ?build_with ~inputs mc in
   let shrunk =
     match outcome with
     | Oracle.Divergence _ when cfg.c_shrink ->
@@ -460,10 +488,7 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
         (* each probe gets the full budget; a probe that still exhausts
            it is treated as non-reproducing by the shrinker *)
         (match budget with Some b -> Budget.refill b | None -> ());
-        match
-          Oracle.check ?budget ~batch:cfg.c_batch ?transform:(transform_for mc) ~desc ~mc
-            ~inputs ()
-        with
+        match check ~inputs mc with
         | Oracle.Divergence _ -> true
         | Oracle.Agree _ | Oracle.Invalid_mc _ -> false
       in
@@ -474,14 +499,15 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
     match (cfg.c_faults, outcome) with
     | Some fc, Oracle.Agree _ ->
       let pair =
-        ( Substrate.of_engine ~label:"interpreter@unoptimized" desc ~mc,
-          Substrate.of_compiled ~label:"closures@unoptimized" (Compile.compile desc ~mc) )
+        match Oracle.substrates ~configs:[ Oracle.reference; backends.b_faulted ] ~desc ~mc () with
+        | [ a; b ] -> (a, b)
+        | _ -> assert false
       in
       let gen_plan k =
         Faults.generate ~seed:(Prng.derive seed k) ~desc ~n_inputs:(List.length inputs)
           ~count:fc.fc_per_run ()
       in
-      Some (run_faults ?budget ~batch:cfg.c_batch ~fc ~pair ~gen_plan ~inputs ())
+      Some (run_faults ?budget ~fc ~pair ~gen_plan ~inputs ())
     | _ -> None
   in
   let extra =
@@ -490,28 +516,14 @@ let run_rmt_trial ~(cfg : config) ~seed ~prng ?mc_override ~depth ~width ~bits ~
       (* coverage replay runs on the pristine reference engine with its own
          full tank, like every other sub-run *)
       (match budget with Some b -> Budget.refill b | None -> ());
-      let shape =
-        Coverage.rmt_shape ~depth ~width ~bits ~stateful:stateful_name ~stateless:stateless_name
-      in
+      let { depth; width; bits; stateful; stateless } = shape in
+      let shape = Coverage.rmt_shape ~depth ~width ~bits ~stateful ~stateless in
       let x_coverage = Coverage.of_rmt_trial ?budget ~shape ~desc ~mc ~inputs () in
-      let x_material =
-        Corpus.Rmt_material
-          { depth; width; bits; stateful = stateful_name; stateless = stateless_name; mc }
-      in
+      let x_material = Corpus.Rmt_material { depth; width; bits; stateful; stateless; mc } in
       Some { x_coverage; x_material }
     end
   in
   (Finished outcome, shrunk, faults, extra)
-
-(* A native trial's program: the same random pipeline + machine code draw
-   as RMT, continuing the trial PRNG [prng]. *)
-let native_program ~prng ~depth ~width ~bits ~stateful_name ~stateless_name =
-  let desc =
-    Dgen.generate
-      (Dgen.config ~depth ~width ~bits ())
-      ~stateful:(Atoms.find_exn stateful_name) ~stateless:(Atoms.find_exn stateless_name)
-  in
-  (desc, Fuzz.random_mc prng desc)
 
 (* The valid native programs of the block [lo, hi), at
    {!Oracle.native_level}: what a native trial hands
@@ -523,81 +535,15 @@ let block_native_programs ~(cfg : config) (lo, hi) () =
   List.filter_map
     (fun index ->
       match trial_params (family_of ~cfg index) (Prng.derive cfg.c_master_seed index) with
-      | prng, Native_params { depth; width; bits; stateful; stateless } -> (
+      | prng, Native_params shape -> (
         try
-          let desc, mc =
-            native_program ~prng ~depth ~width ~bits ~stateful_name:stateful
-              ~stateless_name:stateless
-          in
+          let desc, mc = rmt_program ~prng shape in
           match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
           | Ok () -> Some (Optimizer.apply ~level:Oracle.native_level ~mc desc, mc)
           | Error _ -> None
         with _ -> None)
       | _ -> None)
     (List.init (hi - lo) (fun k -> lo + k))
-
-(* The native trial body: the same random pipeline + machine code draw as
-   RMT, but the oracle is the three-configuration native-codegen check —
-   interpreter reference, closures at scc+inline, and the Dynlinked module
-   emitted from the same description.  When the native toolchain is
-   unavailable the trial degrades to {!Oracle.check_native_fallback}
-   (closures standing in under the ["native-fallback@scc-inline"] label):
-   same configuration count, same seeds, same classification space, so
-   reports stay byte-deterministic and the degradation is reported once,
-   in the campaign notes, not per trial.
-
-   Fault mode pairs the native artifact against the interpreter — the two
-   most unlike substrates in the repo — under the shared stuck/flip/drop
-   overlay protocol. *)
-let run_native_trial ~(cfg : config) ~seed ~prng ?build_with ~depth ~width ~bits ~stateful_name
-    ~stateless_name () =
-  let desc, mc = native_program ~prng ~depth ~width ~bits ~stateful_name ~stateless_name in
-  let traffic_seed = Prng.bits prng 30 in
-  let inputs = Traffic.phvs (Traffic.create ~seed:traffic_seed ~width ~bits) cfg.c_phvs in
-  let budget = Option.map Budget.ticks cfg.c_fuel in
-  let outcome =
-    match Oracle.check_native ?budget ~batch:cfg.c_batch ?build_with ~desc ~mc ~inputs () with
-    | Ok outcome -> outcome
-    | Error _unavailable -> Oracle.check_native_fallback ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs ()
-  in
-  let shrunk =
-    match outcome with
-    | Oracle.Divergence _ when cfg.c_shrink ->
-      let repro ~inputs:inputs' ~mc =
-        (match budget with Some b -> Budget.refill b | None -> ());
-        match
-          match Oracle.check_native ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs:inputs' () with
-          | Ok outcome -> outcome
-          | Error _ ->
-            Oracle.check_native_fallback ?budget ~batch:cfg.c_batch ~desc ~mc ~inputs:inputs' ()
-        with
-        | Oracle.Divergence _ -> true
-        | Oracle.Agree _ | Oracle.Invalid_mc _ -> false
-      in
-      Some (Shrink.minimize ~max_probes:cfg.c_max_probes ~repro ~inputs ~mc ())
-    | _ -> None
-  in
-  let faults =
-    match (cfg.c_faults, outcome) with
-    | Some fc, Oracle.Agree _ ->
-      let optimized = Optimizer.apply ~level:Oracle.native_level ~mc desc in
-      let candidate =
-        match
-          Druzhba_dsim.Native_substrate.create ~label:"native@scc-inline" optimized ~mc
-        with
-        | Ok native -> native
-        | Error _ ->
-          Substrate.of_compiled ~label:"native-fallback@scc-inline" (Compile.compile optimized ~mc)
-      in
-      let pair = (Substrate.of_engine ~label:"interpreter@unoptimized" desc ~mc, candidate) in
-      let gen_plan k =
-        Faults.generate ~seed:(Prng.derive seed k) ~desc ~n_inputs:(List.length inputs)
-          ~count:fc.fc_per_run ()
-      in
-      Some (run_faults ?budget ~batch:cfg.c_batch ~fc ~pair ~gen_plan ~inputs ())
-    | _ -> None
-  in
-  (Finished outcome, shrunk, faults, None)
 
 (* The dRMT trial body: random chain program + entries, event-driven vs
    sequential oracle, input-only shrinking, input-path fault geometry.
@@ -631,7 +577,7 @@ let run_drmt_trial ~(cfg : config) ~seed ~prng ~index ?entries_override ~tables 
   let inputs = Drmt_substrate.traffic ~seed:traffic_seed reference cfg.c_phvs in
   let budget = Option.map Budget.ticks cfg.c_fuel in
   let check inputs =
-    Oracle.diff_substrates ?budget ~batch:cfg.c_batch ~substrates:(substrates ()) ~inputs ()
+    Oracle.diff_substrates ?budget ~substrates:(substrates ()) ~inputs ()
   in
   let outcome = check inputs in
   let shrunk =
@@ -661,7 +607,7 @@ let run_drmt_trial ~(cfg : config) ~seed ~prng ~index ?entries_override ~tables 
           ~width:(Drmt_substrate.width reference)
           ~bits:8 ~n_inputs:(List.length inputs) ~count:fc.fc_per_run ()
       in
-      Some (run_faults ?budget ~batch:cfg.c_batch ~fc ~pair ~gen_plan ~inputs ())
+      Some (run_faults ?budget ~fc ~pair ~gen_plan ~inputs ())
     | _ -> None
   in
   let extra =
@@ -694,8 +640,7 @@ let pick_mutation prng family (snapshot : Corpus.entry array) =
            match family with
            | Rmt -> Corpus.is_rmt e
            | Drmt -> not (Corpus.is_rmt e)
-           (* the corpus stores no native material; native trials always
-              sample fresh *)
+           (* {!config} refuses coverage mode on native selections *)
            | Native -> false)
          (Array.to_list snapshot))
   in
@@ -728,7 +673,9 @@ let pick_mutation prng family (snapshot : Corpus.entry array) =
             `Drmt_entries entries' ))
   end
 
-let run_trial ?(snapshot = [||]) ?block ~(cfg : config) index : trial * trial_extra option =
+(* [native] is the native family's backends, which {!run_resumable}
+   chooses once per campaign; by default they follow a fresh probe. *)
+let run_trial ?(snapshot = [||]) ?block ?native ~(cfg : config) index : trial * trial_extra option =
   (* backtrace recording is per-domain in OCaml 5, so arm it here (on
      whichever worker runs the trial) rather than once in [run] *)
   Printexc.record_backtrace true;
@@ -761,18 +708,21 @@ let run_trial ?(snapshot = [||]) ?block ~(cfg : config) index : trial * trial_ex
   match
     (match cfg.c_hook with Some hook -> hook index | None -> ());
     match params with
-    | Rmt_params { depth; width; bits; stateful; stateless } ->
+    | Rmt_params shape ->
       let mc_override = match override with `Rmt_mc mc -> Some mc | _ -> None in
-      run_rmt_trial ~cfg ~seed ~prng ?mc_override ~depth ~width ~bits ~stateful_name:stateful
-        ~stateless_name:stateless ()
+      run_rmt_trial ~cfg ~backends:rmt_backends ~seed ~prng ?mc_override shape ()
+    | Native_params shape ->
+      let backends =
+        match native with
+        | Some backends -> backends
+        | None -> native_backends (Druzhba_dsim.Native_substrate.available ())
+      in
+      let build_with = Option.map (block_native_programs ~cfg) block in
+      run_rmt_trial ~cfg ~backends ?build_with ~seed ~prng shape ()
     | Drmt_params { tables; processors; entries } ->
       let entries_override = match override with `Drmt_entries e -> Some e | _ -> None in
       run_drmt_trial ~cfg ~seed ~prng ~index ?entries_override ~tables ~processors
         ~n_entries:entries ()
-    | Native_params { depth; width; bits; stateful; stateless } ->
-      let build_with = Option.map (block_native_programs ~cfg) block in
-      run_native_trial ~cfg ~seed ~prng ?build_with ~depth ~width ~bits ~stateful_name:stateful
-        ~stateless_name:stateless ()
   with
   | result -> finish result
   | exception Budget.Exhausted ->
@@ -897,31 +847,26 @@ let json_of_faults (fs : fault_stats) : Report.t =
       ("replay_ok", Report.Bool fs.fs_replay_ok);
     ]
 
-let json_of_params = function
-  | Rmt_params { depth; width; bits; stateful; stateless } ->
+let json_of_params =
+  let rmt substrate { depth; width; bits; stateful; stateless } =
     [
-      ("substrate", Report.Str "rmt");
+      ("substrate", Report.Str substrate);
       ("depth", Report.Int depth);
       ("width", Report.Int width);
       ("bits", Report.Int bits);
       ("stateful", Report.Str stateful);
       ("stateless", Report.Str stateless);
     ]
+  in
+  function
+  | Rmt_params shape -> rmt "rmt" shape
+  | Native_params shape -> rmt "native" shape
   | Drmt_params { tables; processors; entries } ->
     [
       ("substrate", Report.Str "drmt");
       ("tables", Report.Int tables);
       ("processors", Report.Int processors);
       ("entries", Report.Int entries);
-    ]
-  | Native_params { depth; width; bits; stateful; stateless } ->
-    [
-      ("substrate", Report.Str "native");
-      ("depth", Report.Int depth);
-      ("width", Report.Int width);
-      ("bits", Report.Int bits);
-      ("stateful", Report.Str stateful);
-      ("stateless", Report.Str stateless);
     ]
 
 let json_of_trial (t : trial) : Report.t =
@@ -1035,28 +980,21 @@ let faults_of_json j : fault_stats =
   }
 
 let params_of_json j : params =
+  let rmt () =
+    {
+      depth = dint j "depth";
+      width = dint j "width";
+      bits = dint j "bits";
+      stateful = dstr j "stateful";
+      stateless = dstr j "stateless";
+    }
+  in
   match dstr j "substrate" with
-  | "rmt" ->
-    Rmt_params
-      {
-        depth = dint j "depth";
-        width = dint j "width";
-        bits = dint j "bits";
-        stateful = dstr j "stateful";
-        stateless = dstr j "stateless";
-      }
+  | "rmt" -> Rmt_params (rmt ())
+  | "native" -> Native_params (rmt ())
   | "drmt" ->
     Drmt_params
       { tables = dint j "tables"; processors = dint j "processors"; entries = dint j "entries" }
-  | "native" ->
-    Native_params
-      {
-        depth = dint j "depth";
-        width = dint j "width";
-        bits = dint j "bits";
-        stateful = dstr j "stateful";
-        stateless = dstr j "stateless";
-      }
   | s -> rfail "unknown trial substrate %S" s
 
 let trial_of_json j : trial =
@@ -1143,33 +1081,37 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
     invalid_arg
       "Campaign.run_resumable: sabotage-pass mode is incompatible with checkpoint/resume";
   (* Native-family degradation is judged once, up front, on the main
-     domain: a campaign may run degraded (closures standing in for the
-     native artifact, with a note in the report), but a *checkpointed or
-     resumed* campaign may not — records taken on a toolchain-equipped
-     machine must never blend with degraded ones, so the combination is
-     refused with a clear error instead. *)
+     domain, and fixes the native trials' backends: a campaign may run
+     degraded (closures standing in for the native artifact, with a note
+     in the report), but a *checkpointed or resumed* campaign may not —
+     records taken on a toolchain-equipped machine must never blend with
+     degraded ones, so the combination is refused with a clear error
+     instead.  On an available toolchain a module that fails to build is
+     the trial's crash, not a fallback. *)
   let selection = Option.value (families_of_name cfg.c_substrate) ~default:[] in
+  let native_available =
+    if List.mem Native selection then Druzhba_dsim.Native_substrate.available () else Ok ()
+  in
+  let native = native_backends native_available in
   let notes =
-    if not (List.mem Native selection) then []
-    else
-      match Druzhba_dsim.Native_substrate.available () with
-      | Ok () -> []
-      | Error reason ->
-        if checkpoint <> None || resume then
-          raise
-            (Resume_error
-               (Printf.sprintf
-                  "substrate %S cannot be checkpointed or resumed here: the native toolchain \
-                   is unavailable (%s); run without --checkpoint/--resume to accept the \
-                   interpreted fallback"
-                  cfg.c_substrate reason))
-        else
-          [
-            Printf.sprintf
-              "native substrate unavailable (%s); native trials ran on the interpreted \
-               fallback (native-fallback@scc-inline)"
-              reason;
-          ]
+    match native_available with
+    | Ok () -> []
+    | Error reason ->
+      if checkpoint <> None || resume then
+        raise
+          (Resume_error
+             (Printf.sprintf
+                "substrate %S cannot be checkpointed or resumed here: the native toolchain is \
+                 unavailable (%s); run without --checkpoint/--resume to accept the interpreted \
+                 fallback"
+                cfg.c_substrate reason))
+      else
+        [
+          Printf.sprintf
+            "native substrate unavailable (%s); native trials ran on the interpreted fallback \
+             (native-fallback@scc-inline)"
+            reason;
+        ]
   in
   (* crash records carry backtraces; recording is per-process and cheap *)
   Printexc.record_backtrace true;
@@ -1242,7 +1184,7 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
     let snap = !snapshot in
     let chunk =
       Runner.parallel_init ~jobs:cfg.c_jobs (hi - base) (fun k ->
-          run_trial ~snapshot:snap ~block:(base, hi) ~cfg (base + k))
+          run_trial ~snapshot:snap ~block:(base, hi) ~native ~cfg (base + k))
     in
     Array.iteri (fun k (t, _) -> results.(base + k) <- Some t) chunk;
     if cfg.c_coverage then begin
@@ -1343,13 +1285,15 @@ let pp_faults ppf (fs : fault_stats) =
     fs.fs_runs fs.fs_substrate_mismatch
     (if fs.fs_replay_ok then "clean" else "CORRUPTED")
 
-let pp_params ppf = function
-  | Rmt_params { depth; width; bits; stateful; stateless } ->
-    Fmt.pf ppf "rmt %dx%d @ %d bits, %s/%s" depth width bits stateful stateless
+let pp_params ppf =
+  let rmt family { depth; width; bits; stateful; stateless } =
+    Fmt.pf ppf "%s %dx%d @@ %d bits, %s/%s" family depth width bits stateful stateless
+  in
+  function
+  | Rmt_params shape -> rmt "rmt" shape
+  | Native_params shape -> rmt "native" shape
   | Drmt_params { tables; processors; entries } ->
     Fmt.pf ppf "drmt %d table(s), %d processor(s), %d entrie(s)" tables processors entries
-  | Native_params { depth; width; bits; stateful; stateless } ->
-    Fmt.pf ppf "native %dx%d @ %d bits, %s/%s" depth width bits stateful stateless
 
 let pp_trial ppf (t : trial) =
   Fmt.pf ppf "trial %4d (seed %d, %a): %a" t.t_index t.t_seed pp_params t.t_params pp_outcome

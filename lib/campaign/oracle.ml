@@ -9,26 +9,18 @@
 
    The oracle is polymorphic over a {!Druzhba_dsim.Substrate.packed} list:
    the head of the list is the reference configuration and every other
-   entry is judged against it.  Two canonical substrate sets ship here:
-
-   - {!rmt_substrates}: the interpreter ({!Druzhba_dsim.Engine}) and the
-     closure-compiled pipeline ({!Druzhba_dsim.Compiled}) at all three
-     optimization levels of the paper's Table 1, referenced by the
-     interpreter on the unoptimized description (the most literal rendering
-     of the hardware semantics) — six configurations;
-   - {!drmt_substrates}: the event-driven dRMT model judged against the
-     sequential P4 reference semantics — two configurations. *)
+   entry is judged against it.  An RMT program's list is built from a
+   configuration list — (label, backend, optimization level), reference
+   first — and three ship here: {!rmt_configs} (six configurations),
+   {!native_configs} and {!native_fallback_configs} (three each).  dRMT
+   trials hand {!diff_substrates} their two substrates directly. *)
 
 module Machine_code = Druzhba_machine_code.Machine_code
 module Ir = Druzhba_pipeline.Ir
 module Compile = Druzhba_pipeline.Compile
 module Optimizer = Druzhba_optimizer.Optimizer
-module Engine = Druzhba_dsim.Engine
-module Compiled = Druzhba_dsim.Compiled
 module Substrate = Druzhba_dsim.Substrate
 module Native_substrate = Druzhba_dsim.Native_substrate
-module Drmt_substrate = Druzhba_dsim.Drmt_substrate
-module Phv = Druzhba_dsim.Phv
 module Trace = Druzhba_dsim.Trace
 
 let all_levels = [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
@@ -139,47 +131,83 @@ let diff_runs ~(ref_buf : Trace.Buffer.t) ~ref_state ~(act_buf : Trace.Buffer.t)
     | None -> diff_states ~reference:ref_state ~actual:act_state
   end
 
-(* --- Substrate sets ---------------------------------------------------------- *)
+(* --- Configurations ----------------------------------------------------------- *)
 
-(* The six RMT configurations, reference (interpreter on the unoptimized
-   description) first.  The per-level optimized descriptions are shared
-   between the two backends, so the optimizer runs once per level.
+(* How a configuration executes its description: the interpreter
+   ({!Druzhba_dsim.Engine}), the closure compiler ({!Druzhba_dsim.Compiled}),
+   or the emitted module Dynlinked from ocamlopt's output
+   ({!Druzhba_dsim.Native_substrate}). *)
+type backend = Interpreter | Closures | Native
 
-   [transform] (if any) rewrites each optimized description before the
-   candidate substrates are built from it — the reference never sees it.
-   This is the seam campaign sabotage mode uses to plant a buggy optimizer
-   pass: both backends at the affected level inherit the bug, exactly as a
-   real mis-compiling pass would propagate. *)
-let rmt_substrates ?(init = []) ?transform ~(desc : Ir.t) ~mc () : Substrate.packed list =
-  let apply_transform level d =
-    match transform with None -> d | Some f -> f level d
-  in
-  Substrate.of_engine ~label:"interpreter@unoptimized" ~init desc ~mc
-  :: List.concat_map
-       (fun level ->
-         let optimized = apply_transform level (Optimizer.apply ~level ~mc desc) in
-         let compiled = Compile.compile optimized ~mc in
-         let interp =
-           if level = Optimizer.Unoptimized then []
-           else
-             [
-               Substrate.of_engine
-                 ~label:("interpreter@" ^ Optimizer.level_name level)
-                 ~init optimized ~mc;
-             ]
-         in
-         interp
-         @ [ Substrate.of_compiled ~label:("closures@" ^ Optimizer.level_name level) ~init compiled ])
-       all_levels
+(* One oracle configuration: the substrate label reports key divergences
+   on, the backend, and the optimization level of the description it runs. *)
+type configuration = { cf_label : string; cf_backend : backend; cf_level : Optimizer.level }
 
-(* The two dRMT configurations, sequential P4 reference semantics first.
-   @raise Druzhba_drmt.Scheduler.Infeasible if the program cannot be
-   scheduled under [cfg]. *)
-let drmt_substrates ?cfg ~entries (p : Druzhba_drmt.P4.t) : Substrate.packed list =
+let configuration cf_label cf_backend cf_level = { cf_label; cf_backend; cf_level }
+
+(* The level the native-codegen configurations run at. *)
+let native_level = Optimizer.Scc_inline
+
+(* The head of every list: the interpreter on the unoptimized description,
+   the most literal rendering of the hardware semantics. *)
+let reference = configuration "interpreter@unoptimized" Interpreter Optimizer.Unoptimized
+let closures_unoptimized = configuration "closures@unoptimized" Closures Optimizer.Unoptimized
+let closures_native = configuration "closures@scc-inline" Closures native_level
+let native = configuration "native@scc-inline" Native native_level
+
+(* The closures standing in for the emitted module on a host without the
+   native toolchain: same configuration count, same classification space. *)
+let native_fallback = configuration "native-fallback@scc-inline" Closures native_level
+
+(* Both in-process backends at all three levels of the paper's Table 1. *)
+let rmt_configs =
   [
-    Drmt_substrate.of_p4 ~mode:Drmt_substrate.Sequential ~entries p;
-    Drmt_substrate.of_p4 ?cfg ~mode:Drmt_substrate.Event ~entries p;
+    reference;
+    closures_unoptimized;
+    configuration "interpreter@scc" Interpreter Optimizer.Scc;
+    configuration "closures@scc" Closures Optimizer.Scc;
+    configuration "interpreter@scc+inline" Interpreter Optimizer.Scc_inline;
+    configuration "closures@scc+inline" Closures Optimizer.Scc_inline;
   ]
+
+(* The paper's discipline of diffing dsim against the code dgen generates:
+   the emitted module, kept honest by both in-process backends. *)
+let native_configs = [ reference; closures_native; native ]
+let native_fallback_configs = [ reference; closures_native; native_fallback ]
+
+(* Builds [configs]' substrates, reference first.  The optimizer runs once
+   per level and the configurations at one level share its description.
+   The reference runs on the description as optimized; every candidate
+   runs on it after [transform] (if any).  That is the seam campaign
+   sabotage mode plants a buggy optimizer pass in: every candidate at the
+   affected level inherits the bug, as a real mis-compiling pass would
+   propagate it.  [build_with] is {!Native_substrate.create}'s.
+
+   @raise Failure if a native configuration's module does not build; the
+   message leaves out ocamlopt's output, which names per-process staging
+   paths, so it is deterministic. *)
+let substrates ?(init = []) ?transform ?build_with ~configs ~(desc : Ir.t) ~mc () :
+    Substrate.packed list =
+  let levels = List.sort_uniq compare (List.map (fun c -> c.cf_level) configs) in
+  let optimized = List.map (fun level -> (level, Optimizer.apply ~level ~mc desc)) levels in
+  let transformed =
+    match transform with
+    | None -> optimized
+    | Some f -> List.map (fun (level, d) -> (level, f level d)) optimized
+  in
+  let build descs c =
+    let d = List.assoc c.cf_level descs and label = c.cf_label in
+    match c.cf_backend with
+    | Interpreter -> Substrate.of_engine ~label ~init d ~mc
+    | Closures -> Substrate.of_compiled ~label ~init (Compile.compile d ~mc)
+    | Native -> (
+      match Native_substrate.create ~label ~init ?build_with d ~mc with
+      | Ok sub -> sub
+      | Error _ -> failwith (label ^ ": the emitted module did not build"))
+  in
+  match configs with
+  | [] -> invalid_arg "Oracle.substrates: empty configuration list"
+  | reference :: candidates -> build optimized reference :: List.map (build transformed) candidates
 
 (* --- Differential check ------------------------------------------------------- *)
 
@@ -192,26 +220,25 @@ let drmt_substrates ?cfg ~entries (p : Druzhba_drmt.P4.t) : Substrate.packed lis
    tick (or scheduled event), {!Druzhba_dsim.Budget.Exhausted} escaping to
    the caller — the campaign runner turns it into a timeout outcome.
 
-   Runs go through the substrates' batched entry points ([batch] lanes,
-   default {!Substrate.default_batch}).  The interpreter and native
-   substrates sweep lanes through {!Druzhba_dsim.Batch}; the closures and
-   dRMT run their sequential loops.  Either way the result is bit-identical
-   to the sequential tick loop (enforced by the cross-path property
-   tests), so outcomes do not depend on [batch]. *)
-let diff_substrates ?budget ?batch ~(substrates : Substrate.packed list) ~inputs () : outcome =
+   Runs go through the substrates' batched entry points: the interpreter
+   sweeps {!Substrate.default_batch} lanes through {!Druzhba_dsim.Batch};
+   every other substrate runs its sequential loop.  The lane path is
+   bit-identical to the sequential tick loop (enforced by the cross-path
+   property tests). *)
+let diff_substrates ?budget ~(substrates : Substrate.packed list) ~inputs () : outcome =
   match substrates with
   | [] | [ _ ] ->
     invalid_arg "Oracle.diff_substrates: need a reference and at least one candidate"
   | reference :: candidates ->
     let capacity = List.length inputs in
     let ref_buf = Trace.Buffer.create ~width:(Substrate.width reference) ~capacity in
-    Substrate.run_batch_into ?budget ?batch reference ~inputs ref_buf;
+    Substrate.run_batch_into ?budget reference ~inputs ref_buf;
     let ref_state = Substrate.current_state reference in
     let act_buf = Trace.Buffer.create ~width:(Substrate.width reference) ~capacity in
     let rec judge = function
       | [] -> Agree { configs = 1 + List.length candidates; phvs = capacity }
       | sub :: rest -> (
-        Substrate.run_batch_into ?budget ?batch sub ~inputs act_buf;
+        Substrate.run_batch_into ?budget sub ~inputs act_buf;
         let act_state = Substrate.current_state sub in
         match diff_runs ~ref_buf ~ref_state ~act_buf ~act_state with
         | None -> judge rest
@@ -220,81 +247,15 @@ let diff_substrates ?budget ?batch ~(substrates : Substrate.packed list) ~inputs
     in
     judge candidates
 
-(* Validates [mc] then runs the six-configuration RMT differential check.
-   [transform] is threaded to {!rmt_substrates} (candidate descriptions
-   only). *)
-let check ?(init = []) ?budget ?batch ?transform ~(desc : Ir.t) ~mc ~inputs () : outcome =
+(* Validates [mc] (before any substrate is built, so invalid machine code
+   classifies as [Invalid_mc], never as a native build failure), then runs
+   the differential check over [configs] (default {!rmt_configs}).
+   [transform] and [build_with] are threaded to {!substrates}. *)
+let check ?init ?budget ?transform ?build_with ?(configs = rmt_configs) ~(desc : Ir.t) ~mc ~inputs
+    () : outcome =
   match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
   | Error violations -> Invalid_mc violations
   | Ok () ->
-    diff_substrates ?budget ?batch
-      ~substrates:(rmt_substrates ~init ?transform ~desc ~mc ())
-      ~inputs ()
-
-(* Event-driven dRMT vs sequential reference on a P4 program. *)
-let check_drmt ?budget ?batch ?cfg ~entries ~(p : Druzhba_drmt.P4.t) ~inputs () : outcome =
-  diff_substrates ?budget ?batch ~substrates:(drmt_substrates ?cfg ~entries p) ~inputs ()
-
-(* --- Native-codegen check ----------------------------------------------------
-
-   Three configurations: the interpreter on the unoptimized description
-   (reference), the closure backend at scc+inline, and the Dynlinked
-   native module emitted from the same scc+inline description.  The two
-   interpreted configurations keep the generated artifact honest — this is
-   the paper's discipline of diffing dsim against the dgen-generated code
-   it is supposed to match. *)
-
-let native_level = Optimizer.Scc_inline
-
-(* [Error reason] means the native toolchain is unavailable or the
-   out-of-process compile failed; nothing was run.  [build_with] is
-   {!Native_substrate.create}'s: programs, already at {!native_level}, to
-   build together with this one. *)
-let native_substrates ?(init = []) ?build_with ~(desc : Ir.t) ~mc () :
-    (Substrate.packed list, string) result =
-  let optimized = Optimizer.apply ~level:native_level ~mc desc in
-  match Native_substrate.create ~label:"native@scc-inline" ~init ?build_with optimized ~mc with
-  | Error e -> Error e
-  | Ok native ->
-    Ok
-      [
-        Substrate.of_engine ~label:"interpreter@unoptimized" ~init desc ~mc;
-        Substrate.of_compiled ~label:"closures@scc-inline" ~init (Compile.compile optimized ~mc);
-        native;
-      ]
-
-(* The degraded set: the closure backend stands in for the native artifact
-   under the label ["native-fallback@scc-inline"], so a toolchain-less host
-   still runs a three-configuration differential trial (same configs count,
-   same seeds, same classification space) and the report's notes carry the
-   reason. *)
-let native_fallback_substrates ?(init = []) ~(desc : Ir.t) ~mc () : Substrate.packed list =
-  let optimized = Optimizer.apply ~level:native_level ~mc desc in
-  [
-    Substrate.of_engine ~label:"interpreter@unoptimized" ~init desc ~mc;
-    Substrate.of_compiled ~label:"closures@scc-inline" ~init (Compile.compile optimized ~mc);
-    Substrate.of_compiled ~label:"native-fallback@scc-inline" ~init (Compile.compile optimized ~mc);
-  ]
-
-(* Validates [mc] (before emission — so invalid machine code classifies as
-   [Invalid_mc], never as a native build failure), then runs the
-   three-configuration native differential check.  [Error reason] only when
-   the toolchain is unavailable. *)
-let check_native ?(init = []) ?budget ?batch ?build_with ~(desc : Ir.t) ~mc ~inputs () :
-    (outcome, string) result =
-  match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
-  | Error violations -> Ok (Invalid_mc violations)
-  | Ok () -> (
-    match native_substrates ~init ?build_with ~desc ~mc () with
-    | Error e -> Error e
-    | Ok substrates -> Ok (diff_substrates ?budget ?batch ~substrates ~inputs ()))
-
-(* The degraded twin of {!check_native}: always runs, on interpreted
-   substrates only. *)
-let check_native_fallback ?(init = []) ?budget ?batch ~(desc : Ir.t) ~mc ~inputs () : outcome =
-  match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
-  | Error violations -> Invalid_mc violations
-  | Ok () ->
-    diff_substrates ?budget ?batch
-      ~substrates:(native_fallback_substrates ~init ~desc ~mc ())
+    diff_substrates ?budget
+      ~substrates:(substrates ?init ?transform ?build_with ~configs ~desc ~mc ())
       ~inputs ()

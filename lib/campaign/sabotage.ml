@@ -21,7 +21,7 @@
    reaches the trigger routinely.
 
    Effect — when the trigger fires, every post-optimizer description (the
-   candidates of {!Oracle.rmt_substrates}; never the unoptimized reference)
+   candidates of {!Oracle.rmt_configs}; never the unoptimized reference)
    gets stage 0's container-0 output mux wrapped in an off-by-one, which
    both the interpreter and the closure compiler then faithfully execute:
    the bug is in the "pass", and the oracle reports a backend divergence on

@@ -211,17 +211,16 @@ let run_compiled ?(init = []) ?budget plan (c : Compiled.t) ~inputs (buf : Trace
 
 (* --- Batched fault runs -----------------------------------------------------
 
-   The batched paths (the interpreter's here, the native substrate's in
-   {!Native_substrate}) take the plan decomposed into {!Batch.primitives}
-   (the [Batch] driver cannot depend on this module).  Drops and flips are
-   applied by the driver at gather time against original injection-slot
-   indices; stuck-at slots are asserted by the stage executors before every
-   lane's execution, which together with the final assertion below is
-   equivalent to the sequential assert-after-every-tick overlay (per-ALU
-   state is private, so only each stuck ALU's own read-points matter).  The
-   final assertion also lands on the {!Budget.Exhausted} path, where the
-   sequential loop's last act was an [apply_stuck] after its final
-   committed tick. *)
+   The interpreter's batched path takes the plan decomposed into
+   {!Batch.primitives} (the [Batch] driver cannot depend on this module).
+   Drops and flips are applied by the driver at gather time against
+   original injection-slot indices; stuck-at slots are asserted by the
+   stage executors before every lane's execution, which together with the
+   final assertion below is equivalent to the sequential
+   assert-after-every-tick overlay (per-ALU state is private, so only each
+   stuck ALU's own read-points matter).  The final assertion also lands on
+   the {!Budget.Exhausted} path, where the sequential loop's last act was
+   an [apply_stuck] after its final committed tick. *)
 
 let primitives plan ~depth : Batch.primitives =
   let stuck = Array.make (max 1 depth) [] in

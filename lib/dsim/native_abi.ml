@@ -10,15 +10,13 @@
    performs the load under a global mutex and immediately {!take}s the
    slot, so concurrent domains never observe each other's registrations.
 
-   The record is deliberately first-order — int arrays, Bigarray lanes, and
-   plain functions — so the only thing the plugin and the host must agree on
+   The record is deliberately first-order — int arrays and plain
+   functions — so the only thing the plugin and the host must agree on
    is this one module's cmi.  Bump {!version} whenever the record layout or
    the registration call changes: it is folded into the build-cache content
    address, so stale `.cmxs` artifacts from an older ABI are never loaded. *)
 
-let version = 2
-
-type lane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+let version = 3
 
 type plugin = {
   np_depth : int;
@@ -34,11 +32,6 @@ type plugin = {
   np_exec_stage : int array array -> int -> int array -> int array -> unit;
       (* [exec_stage state s cur nxt]: run stage [s] on row s of the flat
          (depth+1) x width register file [cur], writing row s+1 of [nxt] *)
-  np_exec_lanes :
-    int array array -> int -> lane array -> lane array -> int -> (int * int * int) list -> unit;
-      (* [exec_lanes state s inr outr k stuck]: batched stage execution over
-         lanes 0..k-1, with per-stage stuck-at overlays (alu, slot, value) —
-         the {!Batch.ops} [bo_exec] contract *)
 }
 
 let slot : (string * plugin) list ref = ref []

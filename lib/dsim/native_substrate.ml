@@ -22,8 +22,10 @@
      workers racing on one program never observe torn artifacts.
    - {b degradation}: every entry point returns [Error reason] instead of
      raising when the toolchain is unavailable (no ocamlfind, bytecode
-     host, no cmi directory, or [DRUZHBA_NATIVE_DISABLE] set); callers fall
-     back to the interpreted paths with a structured note.
+     host, no cmi directory, or [DRUZHBA_NATIVE_DISABLE] set) or a build
+     fails.  A campaign probes {!available} once: without a toolchain its
+     native trials run on the interpreted paths with a structured note; with
+     one, a module that does not build is the trial's crash.
    - {b driver}: the runtime mirrors {!Compiled} tick-for-tick (ping-pong
      register file, occupancy bitmask, budget spends, fault overlays), so
      traces, final state, and fuel accounting are bit-identical to the
@@ -409,8 +411,8 @@ let plugin_for ?build_with (desc : Ir.t) ~mc : (Native_abi.plugin, string) resul
 
    A faithful mirror of {!Compiled}: double-buffered flat (depth+1) x width
    register file, occupancy bitmask, one budget unit per tick, and the
-   fault protocols of {!Faults.run_compiled}/{!Faults.run_engine_batched}
-   transcribed over the plugin's state rows. *)
+   fault protocol of {!Faults.run_compiled} transcribed over the plugin's
+   state rows. *)
 
 type t = {
   plugin : Native_abi.plugin;
@@ -423,7 +425,6 @@ type t = {
   mutable occ : int;
   mutable tick : int;
   mutable init : (string * int array) list;
-  mutable rows : (int * Batch.rows) option; (* batched lane file, cached per capacity *)
 }
 
 let reset t = Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.state
@@ -489,7 +490,7 @@ let rearm t =
   t.occ <- 0;
   t.tick <- 0
 
-let run_seq ?budget t ~inputs (buf : Trace.Buffer.t) =
+let run ?budget t ~inputs (buf : Trace.Buffer.t) =
   rearm t;
   Trace.Buffer.clear buf;
   let spend = match budget with None -> ignore | Some b -> fun () -> Budget.spend b in
@@ -506,7 +507,7 @@ let run_seq ?budget t ~inputs (buf : Trace.Buffer.t) =
     if tick_once t then Trace.Buffer.push buf t.cur ~off:out_off
   done
 
-let run_faults_seq ?budget plan t ~inputs (buf : Trace.Buffer.t) =
+let run_faults ?budget plan t ~inputs (buf : Trace.Buffer.t) =
   rearm t;
   Trace.Buffer.clear buf;
   let spend = match budget with None -> ignore | Some b -> fun () -> Budget.spend b in
@@ -530,37 +531,6 @@ let run_faults_seq ?budget plan t ~inputs (buf : Trace.Buffer.t) =
     apply_stuck t plan
   done
 
-let run_batch ?budget ?overlays ~batch t ~inputs buf =
-  rearm t;
-  let rows =
-    match t.rows with
-    | Some (cap, rows) when cap = batch -> rows
-    | _ ->
-      let rows = Batch.create_rows ~depth:t.depth ~width:t.width ~cap:batch in
-      t.rows <- Some (batch, rows);
-      rows
-  in
-  let exec = t.plugin.Native_abi.np_exec_lanes in
-  let ops =
-    {
-      Batch.bo_cap = batch;
-      bo_depth = t.depth;
-      bo_width = t.width;
-      bo_rows = rows;
-      bo_exec =
-        (fun ~s ~k ~stuck -> exec t.state s (Array.unsafe_get rows s) (Array.unsafe_get rows (s + 1)) k stuck);
-    }
-  in
-  Batch.run ?budget ?overlays ops ~inputs buf
-
-let run_faults_batched ?budget ~batch plan t ~inputs buf =
-  let overlays = Faults.primitives plan ~depth:t.depth in
-  (try run_batch ?budget ~overlays ~batch t ~inputs buf
-   with Budget.Exhausted as ex ->
-     apply_stuck t plan;
-     raise ex);
-  apply_stuck t plan
-
 module Native_sub = struct
   type nonrec t = t
 
@@ -575,13 +545,11 @@ module Native_sub = struct
 
   let run_into ?budget ?faults t ~inputs buf =
     match faults with
-    | None -> run_seq ?budget t ~inputs buf
-    | Some plan -> run_faults_seq ?budget plan t ~inputs buf
+    | None -> run ?budget t ~inputs buf
+    | Some plan -> run_faults ?budget plan t ~inputs buf
 
-  let run_batch_into ?budget ?faults ~batch t ~inputs buf =
-    match faults with
-    | None -> run_batch ?budget ~batch t ~inputs buf
-    | Some plan -> run_faults_batched ?budget ~batch plan t ~inputs buf
+  (* one tick loop: the emitted module has no lane path *)
+  let run_batch_into ?budget ?faults ~batch:_ t ~inputs buf = run_into ?budget ?faults t ~inputs buf
 
   let current_state = current_state
 
@@ -596,8 +564,8 @@ end
 
 (* [create ?label ?init ?build_with desc ~mc] emits, compiles (or reuses a
    cached artifact), loads, and packs the native substrate.  [Error reason]
-   means the toolchain is unavailable or the out-of-process compile failed;
-   the caller degrades to the interpreted paths.
+   means the toolchain is unavailable or the out-of-process compile or the
+   load failed.
 
    [build_with] lists programs likely to be requested next (a campaign
    passes its block's).  On a memo miss with no lone artifact on disk it is
@@ -625,7 +593,6 @@ let create ?(label = "native") ?(init = []) ?build_with (desc : Ir.t) ~mc :
         occ = 0;
         tick = 0;
         init;
-        rows = None;
       }
     in
     reset t;

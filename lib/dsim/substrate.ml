@@ -66,7 +66,7 @@ let load_state (Packed ((module M), t)) init = M.load_state t init
 let run_into ?budget ?faults (Packed ((module M), t)) ~inputs buf =
   M.run_into ?budget ?faults t ~inputs buf
 
-(* Default batch capacity for the lane drivers (interpreter and native):
+(* Default batch capacity for the interpreter's lane driver:
    large enough to amortize per-stage dispatch, small enough that a whole
    lane file (every (stage, container) slot at 8 bytes per lane) stays
    L1/L2-resident on the Table-1 geometries. *)

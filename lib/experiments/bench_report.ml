@@ -8,8 +8,9 @@
    "native_unavailable" reason when the build toolchain is absent) and /4
    (BENCH_pr12.json; without the closure vectorizer the closure
    "ns_per_phv" is the sequential tick loop again, "seq_ns_per_phv" and
-   "batch_sweep" are dropped, and "batch_agree" covers the interpreter and
-   native lane drivers).  This module parses any of those versions into
+   "batch_sweep" are dropped, and "batch_agree" covers the interpreter's
+   lane driver — and, in files written before native ABI v3, the native
+   one).  This module parses any of those versions into
    one row shape so the perf-trajectory tooling and the tests can diff
    reports across PRs without caring which harness wrote them.  Parsing is
    {!Druzhba_util.Json}'s; this module is only the schema view. *)

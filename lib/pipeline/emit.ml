@@ -110,11 +110,9 @@ let to_string d = Fmt.str "%a" pp d
      [If]/[Return] statements lowered by continuation duplication into pure
      expressions (the size blowup this can cause is what the
      `emitted-module-size` lint rule bounds, via {!stage_costs});
-   - exposes two entry points per stage: a sequential one over the flat
-     register file and a batched one sweeping [Bigarray] lanes, mirroring
-     {!Compile}/{!Interp} semantics bit-for-bit (latched state reads,
-     default-before-body evaluation, stuck-at overlays asserted before each
-     lane's snapshot);
+   - exposes one entry point per stage, over the flat register file,
+     mirroring {!Compile}/{!Interp} semantics bit-for-bit (latched state
+     reads, default-before-body evaluation);
    - ends in one [plugin] value of the {!Druzhba_dsim.Native_abi} record.
      It does not register itself: the native substrate wraps one or more
      emitted modules into a compilation unit that registers them all.
@@ -161,7 +159,7 @@ let rec fold_const ctx (e : Ir.expr) : int option =
 
 (* How expressions inside one ALU (or mux) body reach their surroundings:
    container reads, latched state reads, and the live state row stores
-   write to.  The two entry-point variants differ only in [na_phv]. *)
+   write to. *)
 type naccess = {
   na_phv : int -> string;
   na_state : int -> string;
@@ -288,8 +286,8 @@ let rec emit_stmts ctx acc env (stmts : Ir.stmt list) ~default : string =
    output (evaluated first, like the scalar engines), the body, and — for
    stateful ALUs — the post-execution state_0.  Returns the output local and
    the state_0 local. *)
-let emit_alu ctx buf ~indent ~phv ~row (a : Ir.alu) : string * string option =
-  let pad = String.make indent ' ' in
+let emit_alu ctx buf ~phv ~row (a : Ir.alu) : string * string option =
+  let pad = "  " in
   let snaps =
     match row with
     | None -> []
@@ -367,77 +365,36 @@ let stateful_base (d : Ir.t) s =
   done;
   !base
 
-let emit_stage_common ctx buf (d : Ir.t) (st : Ir.stage) ~indent ~phv ~row_of =
-  let nsl = Array.length st.Ir.s_stateless and nsf = Array.length st.Ir.s_stateful in
-  let xs = Array.make nsl "" and ys = Array.make nsf "" and zs = Array.make nsf "" in
-  Array.iteri
-    (fun i a ->
-      let y, _ = emit_alu ctx buf ~indent ~phv ~row:None a in
-      xs.(i) <- y)
-    st.Ir.s_stateless;
-  Array.iteri
-    (fun j a ->
-      row_of j buf;
-      let y, z = emit_alu ctx buf ~indent ~phv ~row:(Some (Printf.sprintf "sr%d" j)) a in
-      ys.(j) <- y;
-      zs.(j) <- Option.get z)
-    st.Ir.s_stateful;
-  let mux_args c = Array.to_list xs @ Array.to_list ys @ Array.to_list zs @ [ phv c ] in
-  fun c -> emit_mux ctx d ~phv ~args:(mux_args c) st.Ir.s_output_muxes.(c)
-
-(* Sequential entry point for stage [s]: reads row s of the flat [cur]
-   register file, writes row s+1 of [nxt] (container offsets baked). *)
-let emit_stage_seq ctx buf (d : Ir.t) (st : Ir.stage) =
+(* Entry point for stage [s]: reads row s of the flat [cur] register
+   file, writes row s+1 of [nxt] (container offsets baked). *)
+let emit_stage ctx buf (d : Ir.t) (st : Ir.stage) =
   let width = d.Ir.d_width and s = st.Ir.s_index in
   let base = s * width and out_base = (s + 1) * width in
   let g0 = stateful_base d s in
   Printf.bprintf buf "let exec_stage_%d (st : int array array) (cur : int array) (nxt : int array) =\n" s;
   let phv k = Printf.sprintf "(Array.unsafe_get cur %d)" (base + k) in
-  let row_of j buf = Printf.bprintf buf "  let sr%d = Array.unsafe_get st %d in\n" j (g0 + j) in
-  let mux = emit_stage_common ctx buf d st ~indent:2 ~phv ~row_of in
+  let xs = Array.map (fun a -> fst (emit_alu ctx buf ~phv ~row:None a)) st.Ir.s_stateless in
+  let yzs =
+    Array.mapi
+      (fun j a ->
+        Printf.bprintf buf "  let sr%d = Array.unsafe_get st %d in\n" j (g0 + j);
+        let y, z = emit_alu ctx buf ~phv ~row:(Some (Printf.sprintf "sr%d" j)) a in
+        (y, Option.get z))
+      st.Ir.s_stateful
+  in
+  let mux_args c =
+    Array.to_list xs @ Array.to_list (Array.map fst yzs) @ Array.to_list (Array.map snd yzs)
+    @ [ phv c ]
+  in
   let sets =
     List.init width (fun c ->
-        Printf.sprintf "  Array.unsafe_set nxt %d %s" (out_base + c) (mux c))
+        Printf.sprintf "  Array.unsafe_set nxt %d %s" (out_base + c)
+          (emit_mux ctx d ~phv ~args:(mux_args c) st.Ir.s_output_muxes.(c)))
   in
   Printf.bprintf buf "%s\n\n" (String.concat ";\n" sets)
 
-(* Batched entry point for stage [s]: sweeps lanes 0..k-1 of the
-   structure-of-arrays rows, whole stage per lane.  Per-ALU state rows are
-   disjoint and each lane's inputs come only from the input row, so this is
-   bit-identical to the sequential entry point run once per lane in slot
-   order — including the stuck-at overlay, asserted per stateful ALU before
-   each lane's snapshot. *)
-let emit_stage_lanes ctx buf (d : Ir.t) (st : Ir.stage) =
-  let width = d.Ir.d_width and s = st.Ir.s_index in
-  let g0 = stateful_base d s in
-  Printf.bprintf buf
-    "let exec_lanes_%d (st : int array array) (inr : lane array) (outr : lane array) (k : int) (stuck : (int * int * int) list) =\n"
-    s;
-  for c = 0 to width - 1 do
-    Printf.bprintf buf "  let i%d = Array.unsafe_get inr %d in\n" c c;
-    Printf.bprintf buf "  let o%d = Array.unsafe_get outr %d in\n" c c
-  done;
-  Array.iteri
-    (fun j _ -> Printf.bprintf buf "  let sr%d = Array.unsafe_get st %d in\n" j (g0 + j))
-    st.Ir.s_stateful;
-  Printf.bprintf buf "  for b = 0 to k - 1 do\n";
-  let phv k = Printf.sprintf "(Bigarray.Array1.unsafe_get i%d b)" k in
-  let row_of j buf =
-    Printf.bprintf buf
-      "    (match stuck with\n\
-      \     | [] -> ()\n\
-      \     | l -> List.iter (fun (a, sl, v) -> if a = %d then sr%d.(sl) <- v) l);\n"
-      j j
-  in
-  let mux = emit_stage_common ctx buf d st ~indent:4 ~phv ~row_of in
-  let sets =
-    List.init width (fun c ->
-        Printf.sprintf "    Bigarray.Array1.unsafe_set o%d b %s" c (mux c))
-  in
-  Printf.bprintf buf "%s\n  done\n\n" (String.concat ";\n" sets)
-
-(* The full module.  Self-contained: Stdlib + Bigarray only, plus the
-   host's {!Druzhba_dsim.Native_abi} record type for its final [plugin]. *)
+(* The full module.  Self-contained: Stdlib only, plus the host's
+   {!Druzhba_dsim.Native_abi} record type for its final [plugin]. *)
 let native_source (d : Ir.t) ~mc : string =
   let ctx = { n_bits = d.Ir.d_bits; n_mc = mc; n_helpers = d.Ir.d_helpers; n_fresh = 0 } in
   let buf = Buffer.create 4096 in
@@ -445,8 +402,7 @@ let native_source (d : Ir.t) ~mc : string =
   Printf.bprintf buf
     "(* Generated by druzhba (Emit.native_source): depth=%d width=%d bits=%d.\n\
     \   Machine code is baked in as integer literals; do not edit. *)\n\
-     [@@@warning \"-a\"]\n\n\
-     type lane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t\n\n"
+     [@@@warning \"-a\"]\n\n"
     depth width d.Ir.d_bits;
   let stateful =
     Array.to_list d.Ir.d_stages
@@ -462,18 +418,12 @@ let native_source (d : Ir.t) ~mc : string =
   Printf.bprintf buf "let stage_bases : int array = [| %s |]\n\n"
     (String.concat "; "
        (List.init depth (fun s -> string_of_int (stateful_base d s))));
-  Array.iter (fun st -> emit_stage_seq ctx buf d st) d.Ir.d_stages;
-  Array.iter (fun st -> emit_stage_lanes ctx buf d st) d.Ir.d_stages;
+  Array.iter (fun st -> emit_stage ctx buf d st) d.Ir.d_stages;
   Printf.bprintf buf "let exec_stage st s cur nxt =\n  match s with\n";
   for s = 0 to depth - 1 do
     Printf.bprintf buf "  | %d -> exec_stage_%d st cur nxt\n" s s
   done;
   Printf.bprintf buf "  | _ -> ignore st; ignore cur; ignore nxt\n\n";
-  Printf.bprintf buf "let exec_lanes st s inr outr k stuck =\n  match s with\n";
-  for s = 0 to depth - 1 do
-    Printf.bprintf buf "  | %d -> exec_lanes_%d st inr outr k stuck\n" s s
-  done;
-  Printf.bprintf buf "  | _ -> ignore st; ignore inr; ignore outr; ignore k; ignore stuck\n\n";
   Printf.bprintf buf
     "let plugin =\n\
     \  {\n\
@@ -483,7 +433,6 @@ let native_source (d : Ir.t) ~mc : string =
     \    np_stage_bases = stage_bases;\n\
     \    np_alloc = alloc;\n\
     \    np_exec_stage = exec_stage;\n\
-    \    np_exec_lanes = exec_lanes;\n\
     \  }\n"
     depth width;
   Buffer.contents buf
@@ -543,8 +492,6 @@ let stage_cost (d : Ir.t) (st : Ir.stage) =
   Array.iter (fun a -> n := sat_add !n (alu a)) st.Ir.s_stateless;
   Array.iter (fun a -> n := sat_add !n (alu a)) st.Ir.s_stateful;
   Array.iter (fun m -> n := sat_add !n (mux m)) st.Ir.s_output_muxes;
-  (* both entry-point variants carry the stage body; the batched one adds
-     the per-container lane plumbing *)
-  sat_add (sat_add !n !n) d.Ir.d_width
+  !n
 
 let stage_costs (d : Ir.t) = Array.map (stage_cost d) d.Ir.d_stages

@@ -247,7 +247,7 @@ let test_lint_unused_decls () =
 (* emitted-module-size: the native emitter lowers [If] by continuation
    duplication, so a run of N sequential ifs costs ~2^N emitted nodes.  A
    16-if ALU blows past the threshold; every Table-1 program stays under it
-   (their largest stage is ~5.7k nodes against a 50k threshold). *)
+   (their largest stage is ~2.9k nodes against a 50k threshold). *)
 let test_lint_emitted_module_size () =
   let explosive_src =
     let b = Buffer.create 1024 in

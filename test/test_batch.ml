@@ -7,9 +7,8 @@
    mid-run fuel exhaustion.  The property below drives random programs
    (depth x width x atom pool, random machine code) through both paths of
    the interpreter at two optimization levels and requires every
-   observable to match exactly.  The closure substrate has no batched path
-   of its own, and the native lane driver is covered by the cross-substrate
-   property in test_native.ml.
+   observable to match exactly.  The closure and native substrates have no
+   batched path of their own.
 
    This is the test the oracle and campaign lean on when they route all
    their runs through the batched path: if it holds, batching is purely a

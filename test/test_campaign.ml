@@ -242,6 +242,22 @@ let test_campaign_counts () =
   (* our own backends agree with each other *)
   Alcotest.(check int) "no divergence in a healthy simulator" 0 r.Campaign.r_divergent
 
+(* Coverage and sabotage-pass modes never reach a native trial (the corpus
+   stores no native material, the planted pass never reaches the emitted
+   module), so a selection with native trials refuses them rather than
+   silently running without them. *)
+let test_config_refuses_native_modes () =
+  let refuses what make =
+    match make () with
+    | exception Invalid_argument _ -> ()
+    | (_ : Campaign.config) -> Alcotest.failf "config accepted %s" what
+  in
+  refuses "native + coverage" (fun () -> Campaign.config ~substrate:"native" ~coverage:true ());
+  refuses "native + sabotage-pass" (fun () ->
+      Campaign.config ~substrate:"native" ~sabotage_pass:true ());
+  ignore (Campaign.config ~substrate:"all" ~coverage:true ~sabotage_pass:true ());
+  ignore (Campaign.config ~substrate:"native" ())
+
 (* --- Robustness: crash containment, watchdog, breaker, resume, faults ------- *)
 
 (* Injected crashes must become structured records, identical across job
@@ -499,6 +515,8 @@ let () =
           Alcotest.test_case "JSON identical across job counts" `Quick
             test_campaign_reports_identical_across_jobs;
           Alcotest.test_case "summary counts" `Quick test_campaign_counts;
+          Alcotest.test_case "native refuses coverage and sabotage-pass" `Quick
+            test_config_refuses_native_modes;
         ] );
       ( "drmt substrate",
         [

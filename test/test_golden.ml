@@ -13,6 +13,15 @@
       trace equal to the reference — the committed fixture therefore pins
       every configuration.
 
+   A third layer pins whole campaign reports: for each substrate selector
+   (rmt, drmt, all, native) a small fault-mode campaign must render
+   byte-identically to test/golden/campaign_<selector>.json at --jobs 1 and
+   2.  These are the behaviour contract of every campaign refactor.  The
+   native report is compared without its "notes" field, both with the
+   native toolchain (when the host has it) and under
+   DRUZHBA_NATIVE_DISABLE=1, where the closures stand in for the emitted
+   module: the two runs must differ only in that note.
+
    Regenerating after an *intended* semantic change:
 
      GOLDEN_UPDATE=$PWD/test/golden dune exec test/test_golden.exe
@@ -30,6 +39,9 @@ module Trace = Druzhba_dsim.Trace
 module Spec = Druzhba_spec.Spec
 module Codegen = Druzhba_compiler.Codegen
 module Oracle = Druzhba_campaign.Oracle
+module Campaign = Druzhba_campaign.Campaign
+module Report = Druzhba_campaign.Report
+module Native_substrate = Druzhba_dsim.Native_substrate
 module Substrate = Druzhba_dsim.Substrate
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
 module P4 = Druzhba_drmt.P4
@@ -173,6 +185,32 @@ let read_file path =
   close_in ic;
   s
 
+(* --- Campaign report fixtures ---------------------------------------------------- *)
+
+let campaign_selectors = [ "rmt"; "drmt"; "all"; "native" ]
+let campaign_fixture_name selector = "campaign_" ^ selector ^ ".json"
+
+(* The report as [campaign --report] writes it, minus the native notes. *)
+let campaign_report ~jobs selector =
+  let cfg =
+    Campaign.config ~trials:24 ~jobs ~substrate:selector ~phvs:20
+      ~faults:(Campaign.fault_config ~runs:2 ()) ()
+  in
+  let json = Campaign.to_json (Campaign.run cfg) in
+  let json =
+    if selector <> "native" then json
+    else
+      match Report.parse json with
+      | Ok (Report.Obj fields) -> Report.to_string (Report.Obj (List.remove_assoc "notes" fields))
+      | _ -> failwith "campaign report does not parse"
+  in
+  json ^ "\n"
+
+let with_native_disabled f =
+  let saved = Option.value (Sys.getenv_opt "DRUZHBA_NATIVE_DISABLE") ~default:"" in
+  Unix.putenv "DRUZHBA_NATIVE_DISABLE" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "DRUZHBA_NATIVE_DISABLE" saved) f
+
 (* --- Regeneration mode --------------------------------------------------------- *)
 
 let update_fixtures dir =
@@ -190,7 +228,14 @@ let update_fixtures dir =
   let oc = open_out_bin path in
   output_string oc (drmt_render trace);
   close_out oc;
-  Printf.printf "wrote %s\n" path
+  Printf.printf "wrote %s\n" path;
+  List.iter
+    (fun selector ->
+      let path = Filename.concat dir (campaign_fixture_name selector) in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (campaign_report ~jobs:1 selector));
+      Printf.printf "wrote %s\n" path)
+    campaign_selectors
 
 (* --- Checks ---------------------------------------------------------------------- *)
 
@@ -234,6 +279,22 @@ let test_drmt_fixture_matches () =
   let expected = read_file drmt_fixture_path in
   Alcotest.(check string) (drmt_name ^ " matches its golden trace") expected (drmt_render trace)
 
+let test_campaign_fixture_matches selector () =
+  let expected = read_file (Filename.concat "golden" (campaign_fixture_name selector)) in
+  let check env =
+    List.iter
+      (fun jobs ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s campaign%s, --jobs %d" selector env jobs)
+          expected (campaign_report ~jobs selector))
+      [ 1; 2 ]
+  in
+  if selector <> "native" then check ""
+  else begin
+    if Native_substrate.available () = Ok () then check " with the toolchain";
+    with_native_disabled (fun () -> check " under DRUZHBA_NATIVE_DISABLE=1")
+  end
+
 let test_drmt_event_matches_reference () =
   let reference, inputs = drmt_reference_trace () in
   let event = run_substrate (Drmt_substrate.pack (drmt_substrate Drmt_substrate.Event)) ~inputs in
@@ -271,4 +332,9 @@ let () =
               Alcotest.test_case (drmt_name ^ " event=sequential") `Quick
                 test_drmt_event_matches_reference;
             ] );
+        ( "campaign reports",
+          List.map
+            (fun selector ->
+              Alcotest.test_case selector `Quick (test_campaign_fixture_matches selector))
+            campaign_selectors );
       ]

@@ -8,7 +8,8 @@
    batched, under fault overlays, and at the exact tick a budget runs dry.
    The rest covers the machinery around that property: the
    content-addressed build cache (memo hit, disk hit, corrupted-artifact
-   recovery, failed-exec accounting), block packs (one exec per campaign
+   recovery, failed-exec accounting, a failed build classed as a campaign
+   crash), block packs (one exec per campaign
    block, same report as lone builds, fallback to a lone build),
    emitted-source determinism (what makes the cache sound), and graceful
    degradation when the toolchain is absent.
@@ -215,12 +216,9 @@ let test_corrupted_cmxs_recovery () =
       Substrate.run_into packed ~inputs buf;
       Alcotest.(check int) "recovered module simulates" 8 (Trace.Buffer.length buf))
 
-(* A failed ocamlopt exec publishes nothing, so it must not count as a
-   compile: [st_compiles] equals the `.cmxs` files a cache gains, which the
-   benchmark checks.  Garbage cmis make discovery succeed and every exec
-   fail.  A failed pack falls back to a lone build, and its members are
-   built alone from then on rather than retrying the pack. *)
-let test_failed_exec_not_counted () =
+(* Runs [f] with garbage cmis under DRUZHBA_NATIVE_INCLUDE and a fresh
+   cache: toolchain discovery succeeds and every ocamlopt exec fails. *)
+let with_garbage_cmis f =
   with_temp_cache_dir (fun dir ->
       let include_dir = dir ^ "-include" in
       Unix.mkdir include_dir 0o755;
@@ -236,26 +234,49 @@ let test_failed_exec_not_counted () =
           Unix.putenv "DRUZHBA_NATIVE_INCLUDE" saved;
           Array.iter (fun f -> Sys.remove (Filename.concat include_dir f)) (Sys.readdir include_dir);
           Unix.rmdir include_dir)
-        (fun () ->
-          let failed_execs ?build_with (desc, mc) =
-            let s0 = Native_substrate.stats () in
-            (match Native_substrate.create ?build_with desc ~mc with
-            | Error _ -> ()
-            | Ok _ -> Alcotest.fail "create must fail against garbage cmis");
-            let s1 = Native_substrate.stats () in
-            Alcotest.(check int) "no compile counted" s0.Native_substrate.st_compiles
-              s1.Native_substrate.st_compiles;
-            s1.Native_substrate.st_failed - s0.Native_substrate.st_failed
-          in
-          Alcotest.(check int) "a lone build: one failed exec" 1 (failed_execs (cache_fixture ()));
-          let programs =
-            List.map (fun seed -> let desc, mc, _, _ = draw_program seed in (desc, mc)) [ 31; 32 ]
-          in
-          let build_with () = programs in
-          Alcotest.(check int) "a failed pack, then the lone build" 2
-            (failed_execs ~build_with (List.hd programs));
-          Alcotest.(check int) "a failed pack's member is built alone" 1
-            (failed_execs ~build_with (List.nth programs 1))))
+        f)
+
+(* A failed ocamlopt exec publishes nothing, so it must not count as a
+   compile: [st_compiles] equals the `.cmxs` files a cache gains, which the
+   benchmark checks.  A failed pack falls back to a lone build, and its
+   members are built alone from then on rather than retrying the pack. *)
+let test_failed_exec_not_counted () =
+  with_garbage_cmis (fun () ->
+      let failed_execs ?build_with (desc, mc) =
+        let s0 = Native_substrate.stats () in
+        (match Native_substrate.create ?build_with desc ~mc with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "create must fail against garbage cmis");
+        let s1 = Native_substrate.stats () in
+        Alcotest.(check int) "no compile counted" s0.Native_substrate.st_compiles
+          s1.Native_substrate.st_compiles;
+        s1.Native_substrate.st_failed - s0.Native_substrate.st_failed
+      in
+      Alcotest.(check int) "a lone build: one failed exec" 1 (failed_execs (cache_fixture ()));
+      let programs =
+        List.map (fun seed -> let desc, mc, _, _ = draw_program seed in (desc, mc)) [ 31; 32 ]
+      in
+      let build_with () = programs in
+      Alcotest.(check int) "a failed pack, then the lone build" 2
+        (failed_execs ~build_with (List.hd programs));
+      Alcotest.(check int) "a failed pack's member is built alone" 1
+        (failed_execs ~build_with (List.nth programs 1)))
+
+(* On an available toolchain, a module ocamlopt rejects is a finding, not
+   a reason to fall back to the closures: every trial is a crash, and the
+   crash text leaves out ocamlopt's output (it names per-process staging
+   paths), so the report is the same at any job count. *)
+let test_build_failure_is_a_crash () =
+  with_garbage_cmis (fun () ->
+      let report jobs =
+        Campaign.run (Campaign.config ~trials:6 ~jobs ~substrate:"native" ~phvs:10 ())
+      in
+      let r = report 1 in
+      Alcotest.(check int) "no trial agrees" 0 r.Campaign.r_agree;
+      Alcotest.(check int) "every trial crashed" 6 r.Campaign.r_crashed;
+      Alcotest.(check (list string)) "no fallback note" [] r.Campaign.r_notes;
+      Alcotest.(check string) "same report at --jobs 1 and 2" (Campaign.to_json r)
+        (Campaign.to_json (report 2)))
 
 (* --- Block packs ------------------------------------------------------------- *)
 
@@ -392,6 +413,7 @@ let available_suites =
         Alcotest.test_case "memo and disk hits" `Quick test_cache_hit_miss;
         Alcotest.test_case "corrupted cmxs recovery" `Quick test_corrupted_cmxs_recovery;
         Alcotest.test_case "failed exec is not a compile" `Quick test_failed_exec_not_counted;
+        Alcotest.test_case "build failure is a crash" `Quick test_build_failure_is_a_crash;
       ] );
     ( "block packs",
       [
