@@ -1150,15 +1150,12 @@ let drmt_cmd =
 (* --- experiments ----------------------------------------------------------------------- *)
 
 let table1_cmd =
-  let run phvs interpreted backend =
-    let mode =
-      match backend with
-      | Some name -> name
-      | None -> if interpreted then "interpreter" else "compiled"
-    in
-    let rows = Druzhba_experiments.Table1.run ~phvs ~mode () in
-    Fmt.pr "%a@." Druzhba_experiments.Table1.pp rows;
-    Fmt.pr "%a@." Druzhba_experiments.Table1.summary rows
+  let run phvs backend =
+    match Druzhba_experiments.Table1.run ~phvs ~backend () with
+    | Error msg -> usage_error "table1: %s" msg
+    | Ok rows ->
+      Fmt.pr "%a@." Druzhba_experiments.Table1.pp rows;
+      Fmt.pr "%a@." Druzhba_experiments.Table1.summary rows
   in
   let doc = "Reproduce Table 1: RMT runtimes with and without optimizations." in
   Cmd.v
@@ -1166,14 +1163,11 @@ let table1_cmd =
     Term.(
       const run
       $ Arg.(value & opt int 50_000 & info [ "phvs" ] ~docv:"N" ~doc:"PHVs per run (paper: 50000).")
-      $ Arg.(value & flag & info [ "interpreted" ] ~doc:"Interpret the description IR instead.")
       $ Arg.(
           value
-          & opt (some (enum (List.map (fun n -> (n, n)) (Backends.names ())))) None
+          & opt (enum (List.map (fun b -> (Backends.name b, b)) Backends.all)) Backends.Closures
           & info [ "backend" ] ~docv:"NAME"
-              ~doc:
-                "Execution backend from the registry (interpreter, compiled, native); overrides \
-                 --interpreted."))
+              ~doc:"Execution backend from the registry (interpreter, compiled, native)."))
 
 let casestudy_cmd =
   let run phvs budget jobs =

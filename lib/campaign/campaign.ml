@@ -61,6 +61,7 @@ module Trace = Druzhba_dsim.Trace
 module Budget = Druzhba_dsim.Budget
 module Faults = Druzhba_dsim.Faults
 module Substrate = Druzhba_dsim.Substrate
+module Backends = Druzhba_dsim.Backends
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
 module P4 = Druzhba_drmt.P4
 module Scheduler = Druzhba_drmt.Scheduler
@@ -438,9 +439,10 @@ type backends = { b_configs : Oracle.configuration list; b_faulted : Oracle.conf
 
 let rmt_backends = { b_configs = Oracle.rmt_configs; b_faulted = Oracle.closures_unoptimized }
 
-(* Fault mode pairs the emitted module (or its stand-in) with the
-   interpreter: the two most unlike substrates in the repo.  [available] is
-   {!Druzhba_dsim.Native_substrate.available}'s answer. *)
+(* Fault mode pairs the emitted module with the unoptimized interpreter:
+   the two most unlike substrates in the repo.  Without the toolchain the
+   interpreter at the native level stands in for the module.  [available] is
+   [Backends.available Native]'s answer. *)
 let native_backends available =
   match available with
   | Ok () -> { b_configs = Oracle.native_configs; b_faulted = Oracle.native }
@@ -527,7 +529,7 @@ let run_rmt_trial ~(cfg : config) ~backends ?build_with ~seed ~prng ?mc_override
 
 (* The valid native programs of the block [lo, hi), at
    {!Oracle.native_level}: what a native trial hands
-   {!Druzhba_dsim.Native_substrate.create} as [build_with], so one ocamlopt
+   [Backends.create Native] as [build_with], so one ocamlopt
    exec builds the whole block.  Each is re-derived from its trial's seed
    exactly as the trial body draws it; a trial whose machine code is invalid
    or whose generation raises builds nothing and is skipped. *)
@@ -715,7 +717,7 @@ let run_trial ?(snapshot = [||]) ?block ?native ~(cfg : config) index : trial * 
       let backends =
         match native with
         | Some backends -> backends
-        | None -> native_backends (Druzhba_dsim.Native_substrate.available ())
+        | None -> native_backends (Backends.available Backends.Native)
       in
       let build_with = Option.map (block_native_programs ~cfg) block in
       run_rmt_trial ~cfg ~backends ?build_with ~seed ~prng shape ()
@@ -1082,15 +1084,15 @@ let run_resumable ?checkpoint ?(resume = false) ?stop_after ?should_stop (cfg : 
       "Campaign.run_resumable: sabotage-pass mode is incompatible with checkpoint/resume";
   (* Native-family degradation is judged once, up front, on the main
      domain, and fixes the native trials' backends: a campaign may run
-     degraded (closures standing in for the native artifact, with a note
-     in the report), but a *checkpointed or resumed* campaign may not —
+     degraded (the interpreter standing in for the native artifact, with a
+     note in the report), but a *checkpointed or resumed* campaign may not —
      records taken on a toolchain-equipped machine must never blend with
      degraded ones, so the combination is refused with a clear error
      instead.  On an available toolchain a module that fails to build is
      the trial's crash, not a fallback. *)
   let selection = Option.value (families_of_name cfg.c_substrate) ~default:[] in
   let native_available =
-    if List.mem Native selection then Druzhba_dsim.Native_substrate.available () else Ok ()
+    if List.mem Native selection then Backends.available Backends.Native else Ok ()
   in
   let native = native_backends native_available in
   let notes =

@@ -17,10 +17,9 @@
 
 module Machine_code = Druzhba_machine_code.Machine_code
 module Ir = Druzhba_pipeline.Ir
-module Compile = Druzhba_pipeline.Compile
 module Optimizer = Druzhba_optimizer.Optimizer
 module Substrate = Druzhba_dsim.Substrate
-module Native_substrate = Druzhba_dsim.Native_substrate
+module Backends = Druzhba_dsim.Backends
 module Trace = Druzhba_dsim.Trace
 
 let all_levels = [ Optimizer.Unoptimized; Optimizer.Scc; Optimizer.Scc_inline ]
@@ -59,8 +58,6 @@ let pp_outcome ppf = function
       Fmt.(list ~sep:(any ", ") Machine_code.pp_violation)
       violations
   | Divergence d -> pp_divergence ppf d
-
-let outcome_agrees = function Agree _ -> true | Invalid_mc _ | Divergence _ -> false
 
 (* First divergence in the final state vectors (missing state in [actual]
    reads as min_int, like the fuzz harness). *)
@@ -133,15 +130,10 @@ let diff_runs ~(ref_buf : Trace.Buffer.t) ~ref_state ~(act_buf : Trace.Buffer.t)
 
 (* --- Configurations ----------------------------------------------------------- *)
 
-(* How a configuration executes its description: the interpreter
-   ({!Druzhba_dsim.Engine}), the closure compiler ({!Druzhba_dsim.Compiled}),
-   or the emitted module Dynlinked from ocamlopt's output
-   ({!Druzhba_dsim.Native_substrate}). *)
-type backend = Interpreter | Closures | Native
-
 (* One oracle configuration: the substrate label reports key divergences
-   on, the backend, and the optimization level of the description it runs. *)
-type configuration = { cf_label : string; cf_backend : backend; cf_level : Optimizer.level }
+   on, the {!Backends} registry entry that executes it, and the
+   optimization level of the description it runs. *)
+type configuration = { cf_label : string; cf_backend : Backends.t; cf_level : Optimizer.level }
 
 let configuration cf_label cf_backend cf_level = { cf_label; cf_backend; cf_level }
 
@@ -150,24 +142,29 @@ let native_level = Optimizer.Scc_inline
 
 (* The head of every list: the interpreter on the unoptimized description,
    the most literal rendering of the hardware semantics. *)
-let reference = configuration "interpreter@unoptimized" Interpreter Optimizer.Unoptimized
-let closures_unoptimized = configuration "closures@unoptimized" Closures Optimizer.Unoptimized
-let closures_native = configuration "closures@scc-inline" Closures native_level
-let native = configuration "native@scc-inline" Native native_level
+let reference = configuration "interpreter@unoptimized" Backends.Interpreter Optimizer.Unoptimized
 
-(* The closures standing in for the emitted module on a host without the
-   native toolchain: same configuration count, same classification space. *)
-let native_fallback = configuration "native-fallback@scc-inline" Closures native_level
+let closures_unoptimized =
+  configuration "closures@unoptimized" Backends.Closures Optimizer.Unoptimized
+
+let closures_native = configuration "closures@scc-inline" Backends.Closures native_level
+let native = configuration "native@scc-inline" Backends.Native native_level
+
+(* The stand-in for the emitted module on a host without the native
+   toolchain: the interpreter at the native level, so the list keeps its
+   size and every configuration in it can still disagree with the others.
+   The label stays so degraded reports match the toolchain's. *)
+let native_fallback = configuration "native-fallback@scc-inline" Backends.Interpreter native_level
 
 (* Both in-process backends at all three levels of the paper's Table 1. *)
 let rmt_configs =
   [
     reference;
     closures_unoptimized;
-    configuration "interpreter@scc" Interpreter Optimizer.Scc;
-    configuration "closures@scc" Closures Optimizer.Scc;
-    configuration "interpreter@scc+inline" Interpreter Optimizer.Scc_inline;
-    configuration "closures@scc+inline" Closures Optimizer.Scc_inline;
+    configuration "interpreter@scc" Backends.Interpreter Optimizer.Scc;
+    configuration "closures@scc" Backends.Closures Optimizer.Scc;
+    configuration "interpreter@scc+inline" Backends.Interpreter Optimizer.Scc_inline;
+    configuration "closures@scc+inline" Backends.Closures Optimizer.Scc_inline;
   ]
 
 (* The paper's discipline of diffing dsim against the code dgen generates:
@@ -181,7 +178,7 @@ let native_fallback_configs = [ reference; closures_native; native_fallback ]
    runs on it after [transform] (if any).  That is the seam campaign
    sabotage mode plants a buggy optimizer pass in: every candidate at the
    affected level inherits the bug, as a real mis-compiling pass would
-   propagate it.  [build_with] is {!Native_substrate.create}'s.
+   propagate it.  [build_with] is {!Backends.create}'s.
 
    @raise Failure if a native configuration's module does not build; the
    message leaves out ocamlopt's output, which names per-process staging
@@ -196,14 +193,10 @@ let substrates ?(init = []) ?transform ?build_with ~configs ~(desc : Ir.t) ~mc (
     | Some f -> List.map (fun (level, d) -> (level, f level d)) optimized
   in
   let build descs c =
-    let d = List.assoc c.cf_level descs and label = c.cf_label in
-    match c.cf_backend with
-    | Interpreter -> Substrate.of_engine ~label ~init d ~mc
-    | Closures -> Substrate.of_compiled ~label ~init (Compile.compile d ~mc)
-    | Native -> (
-      match Native_substrate.create ~label ~init ?build_with d ~mc with
-      | Ok sub -> sub
-      | Error _ -> failwith (label ^ ": the emitted module did not build"))
+    let d = List.assoc c.cf_level descs in
+    match Backends.create ~label:c.cf_label ~init ?build_with c.cf_backend d ~mc with
+    | Ok sub -> sub
+    | Error _ -> failwith (c.cf_label ^ ": the emitted module did not build")
   in
   match configs with
   | [] -> invalid_arg "Oracle.substrates: empty configuration list"

@@ -1,59 +1,34 @@
-(* The execution-backend registry: every way this repo can turn a pipeline
-   description + machine code into a {!Substrate.packed}, keyed by name.
+(* The execution-backend registry: every way this repo turns a pipeline
+   description + machine code into a {!Substrate.packed}.
 
-   The oracle, the campaign runner, the service protocol, and the CLI all
-   select backends through this table instead of hard-coding constructors,
-   so adding a backend (as the native-codegen substrate did) is one entry
-   here plus a campaign family — no plumbing changes.
+   The oracle's configuration lists, Table 1, the bench harness and the CLI
+   all build RMT backends through {!create}, so the set of executors the
+   differential oracle diffs is decided here and nowhere else.
 
-   [be_available] is probed before [be_create]: a backend with external
+   {!available} is probed before {!create}: a backend with external
    requirements (the native substrate needs ocamlfind + natdynlink) reports
-   a structured reason instead of failing mid-campaign, and callers degrade
-   gracefully. *)
+   a structured reason instead of failing mid-run, and callers degrade or
+   refuse with that reason. *)
 
 module Ir = Druzhba_pipeline.Ir
 module Compile = Druzhba_pipeline.Compile
-module Machine_code = Druzhba_machine_code.Machine_code
 
-type entry = {
-  be_name : string;
-  be_description : string;
-  be_available : unit -> (unit, string) result;
-  be_create :
-    ?label:string ->
-    ?init:(string * int array) list ->
-    Ir.t ->
-    mc:Machine_code.t ->
-    (Substrate.packed, string) result;
-}
+(* The tree-walking interpreter ({!Engine}), the closure compiler
+   ({!Compiled}), and the emitted OCaml compiled out-of-process and
+   Dynlinked ({!Native_substrate}). *)
+type t = Interpreter | Closures | Native
 
-let always () = Ok ()
+let all = [ Interpreter; Closures; Native ]
 
-let interpreter =
-  {
-    be_name = "interpreter";
-    be_description = "tree-walking reference interpreter (Engine)";
-    be_available = always;
-    be_create = (fun ?label ?init desc ~mc -> Ok (Substrate.of_engine ?label ?init desc ~mc));
-  }
+(* The CLI spelling. *)
+let name = function Interpreter -> "interpreter" | Closures -> "compiled" | Native -> "native"
 
-let compiled =
-  {
-    be_name = "compiled";
-    be_description = "closure-compiled in-process backend (Compile + Compiled)";
-    be_available = always;
-    be_create =
-      (fun ?label ?init desc ~mc -> Ok (Substrate.of_compiled ?label ?init (Compile.compile desc ~mc)));
-  }
+let available = function Interpreter | Closures -> Ok () | Native -> Native_substrate.available ()
 
-let native =
-  {
-    be_name = "native";
-    be_description = "emitted OCaml compiled out-of-process and Dynlinked (.cmxs)";
-    be_available = Native_substrate.available;
-    be_create = (fun ?label ?init desc ~mc -> Native_substrate.create ?label ?init desc ~mc);
-  }
-
-let all = [ interpreter; compiled; native ]
-let find name = List.find_opt (fun e -> String.equal e.be_name name) all
-let names () = List.map (fun e -> e.be_name) all
+(* [build_with] is {!Native_substrate.create}'s; the in-process backends
+   ignore it. *)
+let create ?label ?init ?build_with t (desc : Ir.t) ~mc : (Substrate.packed, string) result =
+  match t with
+  | Interpreter -> Ok (Substrate.of_engine ?label ?init desc ~mc)
+  | Closures -> Ok (Substrate.of_compiled ?label ?init (Compile.compile desc ~mc))
+  | Native -> Native_substrate.create ?label ?init ?build_with desc ~mc

@@ -111,18 +111,6 @@ let observe t on_result = t.on_result <- on_result
 
 let width t = Array.length t.layout + 1
 
-(* Container names of the trace row, for rendering golden fixtures and
-   divergence reports: ["ethernet.dst"; ...; "meta.out_port"; "dropped"]. *)
-let container_names t =
-  Array.append
-    (Array.map
-       (function
-         | P4.Header (h, f) -> h ^ "." ^ f
-         | P4.Meta m -> "meta." ^ m
-         | P4.Reg r -> "reg." ^ r)
-       t.layout)
-    [| "dropped" |]
-
 let regs_of_state init =
   List.map (fun (n, vec) -> (n, if Array.length vec > 0 then vec.(0) else 0)) init
 

@@ -6,24 +6,22 @@
    dimensions Table 1 lists; its machine code then drives three simulations
    of the same random PHV trace, one per optimization level of the pipeline
    description.  The execution backend is any {!Druzhba_dsim.Backends}
-   registry name:
+   entry:
 
-   - ["compiled"]: the description is compiled to closures beforehand (the
+   - [Closures]: the description is compiled to closures beforehand (the
      analogue of the paper's rustc-compiled description; compilation time is
      excluded, as the paper excludes rustc time).  This is the configuration
      Table 1 corresponds to.
-   - ["interpreter"]: the description IR is interpreted directly.  This is an
+   - [Interpreter]: the description IR is interpreted directly.  This is an
      ablation unavailable in the original system: it shows what inlining is
      worth when no compiler cleans up the call structure.
-   - ["native"]: the description is emitted as real OCaml, compiled
+   - [Native]: the description is emitted as real OCaml, compiled
      out-of-process and Dynlinked — the closest analogue of the paper's
-     dgen + rustc methodology.  @raise Failure when the toolchain is
-     unavailable (the bench driver degrades instead of crashing). *)
+     dgen + rustc methodology.  Without the toolchain {!run} returns the
+     probe's reason before touching any program. *)
 
 module Druzhba = Druzhba_core.Druzhba
 open Druzhba
-
-type mode = string (* a {!Druzhba_dsim.Backends} registry name *)
 
 type row = {
   row_program : string;
@@ -40,7 +38,12 @@ let time_ms f =
   let _ = f () in
   (Unix.gettimeofday () -. t0) *. 1000.
 
-let run_benchmark ?(phvs = 50_000) ?(seed = 0xD52ba) ~(mode : mode) (bm : Spec.benchmark) : row =
+(* [Error] names the program and the level whose substrate did not build;
+   like {!Druzhba_campaign.Oracle.substrates} it leaves out the backend's
+   own message, which for native carries ocamlopt's per-process staging
+   paths. *)
+let run_benchmark ?(phvs = 50_000) ?(seed = 0xD52ba) ~backend (bm : Spec.benchmark) :
+    (row, string) result =
   let compiled = Spec.compile_exn bm in
   let mc = compiled.Compiler.Codegen.c_mc in
   let desc = compiled.Compiler.Codegen.c_desc in
@@ -50,40 +53,47 @@ let run_benchmark ?(phvs = 50_000) ?(seed = 0xD52ba) ~(mode : mode) (bm : Spec.b
   let v3 = Optimizer.inline_functions v2 in
   (* Substrate construction, output buffer and trace freeze sit outside the
      timer: the measurement is the steady-state tick path (the paper's
-     Table 1 likewise excludes rustc compilation time).  Both modes run
+     Table 1 likewise excludes rustc compilation time).  Every backend runs
      through the uniform {!Substrate} interface. *)
   let buf = Trace.Buffer.create ~width:bm.Spec.bm_width ~capacity:phvs in
-  let measure d =
-    let backend =
-      match Backends.find mode with
-      | Some be -> be
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Table1.run_benchmark: unknown backend %S (expected one of %s)" mode
-             (String.concat ", " (Backends.names ())))
-    in
-    let substrate =
-      match backend.Backends.be_create ~init d ~mc with
-      | Ok s -> s
-      | Error reason -> failwith (Printf.sprintf "backend %S unavailable: %s" mode reason)
-    in
-    (* warm once outside the timer so the lane driver's lazily built
-       register file is excluded, like closure compilation above *)
-    Substrate.run_batch_into substrate ~inputs:[] buf;
-    time_ms (fun () -> Substrate.run_batch_into substrate ~inputs buf)
+  let measure level d =
+    match Backends.create ~init backend d ~mc with
+    | Error _ ->
+      Error
+        (Printf.sprintf "backend %s: %s at %s did not build" (Backends.name backend)
+           bm.Spec.bm_name (Optimizer.level_name level))
+    | Ok substrate ->
+      (* warm once outside the timer so the lane driver's lazily built
+         register file is excluded, like closure compilation above *)
+      Substrate.run_batch_into substrate ~inputs:[] buf;
+      Ok (time_ms (fun () -> Substrate.run_batch_into substrate ~inputs buf))
   in
-  {
-    row_program = bm.Spec.bm_name;
-    row_depth = bm.Spec.bm_depth;
-    row_width = bm.Spec.bm_width;
-    row_alu = bm.Spec.bm_stateful;
-    row_unopt_ms = measure desc;
-    row_scc_ms = measure v2;
-    row_inline_ms = measure v3;
-  }
+  let ( let* ) = Result.bind in
+  let* row_unopt_ms = measure Optimizer.Unoptimized desc in
+  let* row_scc_ms = measure Optimizer.Scc v2 in
+  let* row_inline_ms = measure Optimizer.Scc_inline v3 in
+  Ok
+    {
+      row_program = bm.Spec.bm_name;
+      row_depth = bm.Spec.bm_depth;
+      row_width = bm.Spec.bm_width;
+      row_alu = bm.Spec.bm_stateful;
+      row_unopt_ms;
+      row_scc_ms;
+      row_inline_ms;
+    }
 
-let run ?phvs ?seed ?(mode = "compiled") () : row list =
-  List.map (fun bm -> run_benchmark ?phvs ?seed ~mode bm) Spec.all
+(* Every Table-1 program on [backend] (default the closures).  An
+   unavailable backend is refused before the first program is compiled. *)
+let run ?phvs ?seed ?(backend = Backends.Closures) () : (row list, string) result =
+  match Backends.available backend with
+  | Error reason -> Error (Printf.sprintf "backend %s unavailable: %s" (Backends.name backend) reason)
+  | Ok () ->
+    let rec go rows = function
+      | [] -> Ok (List.rev rows)
+      | bm :: rest -> Result.bind (run_benchmark ?phvs ?seed ~backend bm) (fun r -> go (r :: rows) rest)
+    in
+    go [] Spec.all
 
 let pp_row ppf r =
   Fmt.pf ppf "%-18s %d,%-2d %-12s %10.0f %16.0f %21.0f" r.row_program r.row_depth r.row_width

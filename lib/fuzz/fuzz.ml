@@ -156,15 +156,10 @@ let compare_traces ?(seed = 0) ~observed ~(spec : spec) ~state_layout ~(trace : 
    PHVs, and compare the output trace (restricted to [observed] containers
    and [state_layout] state) against the specification.
 
-   [substrate_of] picks the execution substrate for the (already optimized)
-   description — the interpreter engine by default; tests can swap in the
-   closure compiler or any other {!Substrate.packed} without touching the
-   workflow.
-
    [prefix] PHVs are fed before the [n] random ones: directed trials (e.g.
    witness candidates from translation validation) hit their target packet
    first, from the reset state, then keep fuzzing from wherever it led. *)
-let run_equivalence ?(level = Optimizer.Scc) ?(seed = 0xD52ba) ?(prefix = []) ?init ?substrate_of
+let run_equivalence ?(level = Optimizer.Scc) ?(seed = 0xD52ba) ?(prefix = []) ?init
     ~desc ~mc ~spec ~observed ~state_layout ~n () =
   match Machine_code.validate ~domains:(Ir.control_domains desc) mc with
   | Error violations -> (
@@ -185,11 +180,7 @@ let run_equivalence ?(level = Optimizer.Scc) ?(seed = 0xD52ba) ?(prefix = []) ?i
            violations))
   | Ok () -> (
     let optimized = Optimizer.apply ~level ~mc desc in
-    let substrate =
-      match substrate_of with
-      | Some f -> f optimized ~mc
-      | None -> Substrate.of_engine ?init optimized ~mc
-    in
+    let substrate = Substrate.of_engine ?init optimized ~mc in
     let traffic =
       Traffic.create ~seed ~width:desc.Ir.d_width ~bits:desc.Ir.d_bits
     in

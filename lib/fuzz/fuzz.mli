@@ -15,7 +15,6 @@ module Machine_code = Druzhba_machine_code.Machine_code
 module Ir = Druzhba_pipeline.Ir
 module Optimizer = Druzhba_optimizer.Optimizer
 module Phv = Druzhba_dsim.Phv
-module Substrate = Druzhba_dsim.Substrate
 module Trace = Druzhba_dsim.Trace
 
 val random_mc : ?imm_bits:int -> Prng.t -> Ir.t -> Machine_code.t
@@ -74,7 +73,6 @@ val run_equivalence :
   ?seed:int ->
   ?prefix:Druzhba_dsim.Phv.t list ->
   ?init:(string * int array) list ->
-  ?substrate_of:(Ir.t -> mc:Machine_code.t -> Substrate.packed) ->
   desc:Ir.t ->
   mc:Machine_code.t ->
   spec:spec ->
@@ -88,6 +86,5 @@ val run_equivalence :
     [level] (default {!Optimizer.Scc}), simulate [n] random PHVs from
     [seed] — after the directed [prefix] PHVs, if any, which run first from
     the reset state — and compare traces.  [init] preloads stateful-ALU state
-    (control-plane register initialization).  [substrate_of] selects the
-    execution substrate for the optimized description (default: the
-    interpreter engine via {!Substrate.of_engine}). *)
+    (control-plane register initialization).  The optimized description
+    runs on the interpreter engine ({!Druzhba_dsim.Substrate.of_engine}). *)

@@ -65,17 +65,14 @@ let all_phvs ~bits ~width =
 let state_key pipeline_state spec_state =
   (List.map (fun (n, v) -> (n, Array.to_list v)) pipeline_state, Array.to_list spec_state)
 
-let exhaustive_check ?(max_states = 200_000) ?substrate ~(desc : Ir.t) ~mc ~(spec : Fuzz.spec)
+let exhaustive_check ?(max_states = 200_000) ~(desc : Ir.t) ~mc ~(spec : Fuzz.spec)
     ~observed ~(state_layout : Fuzz.state_layout) ~init () : result =
   let bits = desc.Ir.d_bits in
   let width = desc.Ir.d_width in
   let inputs = all_phvs ~bits ~width in
   let inputs_per_state = List.length inputs in
-  (* The substrate under proof — the interpreter engine unless the caller
-     swaps in another backend (the closure compiler, a dRMT adapter). *)
-  let sub =
-    match substrate with Some s -> s | None -> Substrate.of_engine ~init desc ~mc
-  in
+  (* The substrate under proof: the interpreter engine. *)
+  let sub = Substrate.of_engine ~init desc ~mc in
   let buf = Trace.Buffer.create ~width:(Substrate.width sub) ~capacity:1 in
   (* run one packet from a given pipeline state; return (output, new state) *)
   let run_one pipeline_state input =

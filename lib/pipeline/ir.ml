@@ -95,8 +95,6 @@ let find_helper t name =
 
 let iter_helpers t f = Hashtbl.iter (fun _ h -> f h) t.d_helpers
 
-let replace_helper t (h : helper) = Hashtbl.replace t.d_helpers h.h_name h
-
 (* --- Traversals ---------------------------------------------------------- *)
 
 (* Capture-free substitution of variables by expressions (expressions have no

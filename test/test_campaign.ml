@@ -127,6 +127,23 @@ let test_diff_traces_detects () =
   | Some (`Shape, _, _) -> ()
   | _ -> Alcotest.fail "shape divergence not detected"
 
+(* Two configurations on the same backend at the same level run the same
+   program and can never disagree: each list's entries must differ in
+   (backend, level). *)
+let test_configs_can_disagree () =
+  List.iter
+    (fun (name, configs) ->
+      let keys = List.map (fun c -> (c.Oracle.cf_backend, c.Oracle.cf_level)) configs in
+      Alcotest.(check int)
+        (name ^ ": distinct (backend, level) pairs")
+        (List.length keys)
+        (List.length (List.sort_uniq compare keys)))
+    [
+      ("rmt_configs", Oracle.rmt_configs);
+      ("native_configs", Oracle.native_configs);
+      ("native_fallback_configs", Oracle.native_fallback_configs);
+    ]
+
 (* --- Shrinking -------------------------------------------------------------------- *)
 
 (* A real failing configuration: the accumulator pipeline against a spec
@@ -495,6 +512,7 @@ let () =
           Alcotest.test_case "agrees on the accumulator" `Quick test_oracle_agrees_on_accumulator;
           Alcotest.test_case "rejects invalid mc" `Quick test_oracle_invalid_mc;
           Alcotest.test_case "diff localizes divergences" `Quick test_diff_traces_detects;
+          Alcotest.test_case "configurations can disagree" `Quick test_configs_can_disagree;
           QCheck_alcotest.to_alcotest qcheck_backends_agree;
         ] );
       ( "shrink",

@@ -19,8 +19,10 @@
    2.  These are the behaviour contract of every campaign refactor.  The
    native report is compared without its "notes" field, both with the
    native toolchain (when the host has it) and under
-   DRUZHBA_NATIVE_DISABLE=1, where the closures stand in for the emitted
-   module: the two runs must differ only in that note.
+   DRUZHBA_NATIVE_DISABLE=1, where the interpreter stands in for the
+   emitted module: the two runs must differ only in that note.  Under the
+   same switch, Table 1 on the native backend must refuse with the probe's
+   reason before any build is attempted.
 
    Regenerating after an *intended* semantic change:
 
@@ -42,6 +44,8 @@ module Oracle = Druzhba_campaign.Oracle
 module Campaign = Druzhba_campaign.Campaign
 module Report = Druzhba_campaign.Report
 module Native_substrate = Druzhba_dsim.Native_substrate
+module Backends = Druzhba_dsim.Backends
+module Table1 = Druzhba_experiments.Table1
 module Substrate = Druzhba_dsim.Substrate
 module Drmt_substrate = Druzhba_dsim.Drmt_substrate
 module P4 = Druzhba_drmt.P4
@@ -295,6 +299,18 @@ let test_campaign_fixture_matches selector () =
     with_native_disabled (fun () -> check " under DRUZHBA_NATIVE_DISABLE=1")
   end
 
+(* No ocamlopt exec, failed or not, and no cache lookup: the build
+   counters do not move. *)
+let test_table1_native_disabled () =
+  with_native_disabled (fun () ->
+      let before = Native_substrate.stats () in
+      (match Table1.run ~phvs:10 ~backend:Backends.Native () with
+      | Ok _ -> Alcotest.fail "table1 ran the native backend under DRUZHBA_NATIVE_DISABLE=1"
+      | Error msg ->
+        Alcotest.(check string) "the probe's reason"
+          "backend native unavailable: disabled via DRUZHBA_NATIVE_DISABLE" msg);
+      Alcotest.(check bool) "no build attempted" true (Native_substrate.stats () = before))
+
 let test_drmt_event_matches_reference () =
   let reference, inputs = drmt_reference_trace () in
   let event = run_substrate (Drmt_substrate.pack (drmt_substrate Drmt_substrate.Event)) ~inputs in
@@ -337,4 +353,6 @@ let () =
             (fun selector ->
               Alcotest.test_case selector `Quick (test_campaign_fixture_matches selector))
             campaign_selectors );
+        ( "native unavailable",
+          [ Alcotest.test_case "table1 refuses native" `Quick test_table1_native_disabled ] );
       ]

@@ -90,14 +90,20 @@ let qcheck_cross_substrate =
           List.for_all
             (fun (faults, fuel, batched) ->
               let batch = if batched then Some batch else None in
-              let run sub = observe ?faults ?fuel ?batch ~inputs ~width sub in
-              let native = run (native_exn d ~mc) in
-              let engine = run (Substrate.of_engine ~label:"interpreter" d ~mc) in
-              let compiled = run (Substrate.of_compiled (Compile.compile d ~mc)) in
-              if native = engine && native = compiled then true
+              let observations =
+                List.map
+                  (fun backend ->
+                    match Backends.create backend d ~mc with
+                    | Ok sub -> observe ?faults ?fuel ?batch ~inputs ~width sub
+                    | Error reason ->
+                      Alcotest.failf "%s substrate creation failed: %s" (Backends.name backend)
+                        reason)
+                  Backends.all
+              in
+              if List.for_all (( = ) (List.hd observations)) observations then true
               else
                 QCheck.Test.fail_reportf
-                  "seed %d, level %s, faults=%b fuel=%s batch=%s: native diverges" seed
+                  "seed %d, level %s, faults=%b fuel=%s batch=%s: backends diverge" seed
                   (Optimizer.level_name level) (Option.is_some faults)
                   (match fuel with Some f -> string_of_int f | None -> "-")
                   (match batch with Some b -> string_of_int b | None -> "-"))
